@@ -642,7 +642,7 @@ def cmd_sweep(config: dict) -> int:
             part = kmeans(
                 embedding.coordinates, int(k),
                 np.random.default_rng([config["seed"], index]),
-                restarts=int(config["restarts"]) if "restarts" in config else 4,
+                restarts=4,
             )
             row[4] = _LAMBDA_FMT % ari(labels, part.assignments)
         table.append(row)

@@ -17,7 +17,8 @@ A third mode, constrained_least_squares, handles the identity link only: it
 splits the quadratic loss from the ball constraint and alternates exact
 minimization with exact projection, which stays accurate on badly scaled
 data where a single step size has to serve sequences of wildly different
-magnitudes.
+magnitudes. Its history loss is read from the cached per-sequence Gram
+matrices, so an iteration's cost does not grow with the number of slices S.
 
 kappa is never reset downward between iterations; for noisy stochastic
 fields an optional decay factor (off by default) relaxes that. Start kappa0
@@ -25,7 +26,8 @@ low (the default is 1e-6): backtracking only raises it, and the first
 iteration calibrates it to the data scale in a few doublings.
 
 The history's loss column tracks the running aggregate, the field_norm
-column the field at the point where it was last evaluated.
+column the field at the point where it was last evaluated. Every solve
+records why it ended in SolverState.termination.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from lowrank_ar.model import ParameterMatrix
 from lowrank_ar.nuclear import NuclearBallGeometry, capped_simplex_project, prox_nuc
 
 _MODES = ("mirror-descent", "mirror-prox-backtracking", "admm-ls")
+_ADMM_TOL = 1e-10  # relative primal and dual residual at which the splitting stops
 
 
 class SolverError(RuntimeError):
@@ -87,7 +90,12 @@ class HistoryRecord:
 
 @dataclass
 class SolverState:
-    """Final iterates plus the per-iteration history."""
+    """Final iterates, the per-iteration history and why the solve ended.
+
+    termination is "stop-tol" (field norm under config.stop_tol),
+    "converged" (splitting residuals under tolerance), "slack" (the
+    unconstrained fit already lies in the ball) or "iteration-cap".
+    """
 
     iterate: np.ndarray
     candidate: np.ndarray
@@ -96,6 +104,7 @@ class SolverState:
     gamma: float
     t: int
     history: list[HistoryRecord]
+    termination: str = "iteration-cap"
 
 
 def _finite_or_raise(arr: np.ndarray, what: str) -> np.ndarray:
@@ -117,6 +126,7 @@ def mirror_descent(field_fn, geom: NuclearBallGeometry, config: SolverConfig, lo
     weight_total = 0.0
     history: list[HistoryRecord] = []
     gamma = 1.0 / config.kappa0
+    termination = "iteration-cap"
     for k in range(1, config.max_iters + 1):
         g = _finite_or_raise(np.asarray(field_fn(b)), "field")
         gamma = 1.0 / (config.kappa0 * math.sqrt(k))
@@ -135,11 +145,12 @@ def mirror_descent(field_fn, geom: NuclearBallGeometry, config: SolverConfig, lo
             )
         )
         if config.stop_tol is not None and field_norm < config.stop_tol:
+            termination = "stop-tol"
             break
     aggregate = weighted / weight_total
     return SolverState(
         iterate=b, candidate=b, aggregate=aggregate, kappa=config.kappa0,
-        gamma=gamma, t=history[-1].iteration, history=history,
+        gamma=gamma, t=history[-1].iteration, history=history, termination=termination,
     )
 
 
@@ -155,6 +166,7 @@ def mirror_prox_backtracking(field_fn, geom: NuclearBallGeometry, config: Solver
     kappa = config.kappa0
     gamma = 1.0 / (2.0 * kappa)
     history: list[HistoryRecord] = []
+    termination = "iteration-cap"
     for t in range(1, config.max_iters + 1):
         kappa_hat = max(config.kappa0, kappa * config.kappa_decay)
         psi_r = _finite_or_raise(np.asarray(field_fn(r)), "field")
@@ -191,10 +203,11 @@ def mirror_prox_backtracking(field_fn, geom: NuclearBallGeometry, config: Solver
             )
         )
         if config.stop_tol is not None and field_norm < config.stop_tol:
+            termination = "stop-tol"
             break
     return SolverState(
         iterate=r, candidate=b_next, aggregate=aggregate, kappa=kappa,
-        gamma=gamma, t=history[-1].iteration, history=history,
+        gamma=gamma, t=history[-1].iteration, history=history, termination=termination,
     )
 
 
@@ -255,19 +268,21 @@ def constrained_least_squares(
     order: int,
     radius: float,
     max_iters: int = 4000,
-    tol: float = 1e-10,
-    rho: float | None = None,
 ):
     """Exact minimizer of ls_loss under the identity link on the nuclear ball.
 
     Splitting scheme: the quadratic term is minimized per sequence against a
     copy Z that is projected onto the ball, with a scaled dual U tying the two
-    together. Each sequence's normal matrix is eigendecomposed once, so the
-    per-iteration cost is a few batched matrix products plus one thin SVD,
-    and the penalty weight rho can be rebalanced for free. Deterministic; no
-    randomness anywhere. Returns (ParameterMatrix, SolverState); the history
-    logs the loss of Z, the primal residual in the field_norm column, and rho
-    in the kappa column.
+    together. Each sequence's normal matrix G_i = X_i^T X_i is
+    eigendecomposed once, so the per-iteration cost is a few batched matrix
+    products plus one thin SVD, and the penalty weight rho can be rebalanced
+    for free. The history's loss of Z is read from the same cached Gram
+    matrices, b_i^T G_i b_i - 2 h_i^T b_i + y_i^T y_i per sequence, so no
+    step of an iteration grows with the number of slices S. Deterministic;
+    no randomness anywhere. Returns (ParameterMatrix, SolverState); the
+    history logs the loss of Z, the primal residual in the field_norm
+    column, and rho in the kappa column. The state's termination is
+    "slack", "converged" or "iteration-cap".
 
     The iteration converges to the constrained optimum regardless of how
     badly scaled individual sequences are, which is what makes it the right
@@ -290,6 +305,7 @@ def constrained_least_squares(
         state = SolverState(
             iterate=unconstrained.data, candidate=unconstrained.data,
             aggregate=unconstrained.data, kappa=0.0, gamma=0.0, t=0, history=[],
+            termination="slack",
         )
         return unconstrained, state
 
@@ -299,23 +315,24 @@ def constrained_least_squares(
     )  # (N, S, C)
     gram = np.einsum("nsk,nsl->nkl", design, design)  # (N, K, K)
     xty = np.einsum("nsk,nsc->nck", design, targets)  # (N, C, K)
+    yty = float(np.sum(targets * targets))
     evals, evecs = np.linalg.eigh(gram)  # evals (N, K), evecs (N, K, K)
 
     def loss_of(z: np.ndarray) -> float:
         cols = z.T.reshape(n, c, -1)  # (N, C, K)
-        resid = np.einsum("nsk,nck->nsc", design, cols) - targets
-        return scale * float(np.sum(resid * resid))
+        quad = cols @ gram - 2.0 * xty  # rows G_i b_ic - 2 h_ic; gram is symmetric
+        return scale * (float(np.sum(cols * quad)) + yty)
 
-    if rho is None:
-        # geometric middle of the spectrum balances the two subproblems
-        positive = evals[evals > 1e-12 * evals.max()]
-        rho = float(np.exp(np.mean(np.log(positive)))) if positive.size else 1.0
+    # geometric middle of the spectrum balances the two subproblems
+    positive = evals[evals > 1e-12 * evals.max()]
+    rho = float(np.exp(np.mean(np.log(positive)))) if positive.size else 1.0
 
     m = c * c * order + c
     z = np.zeros((m, n))
     u = np.zeros((m, n))
     history: list[HistoryRecord] = []
     iteration = 0
+    termination = "iteration-cap"
     for iteration in range(1, max_iters + 1):
         rhs = xty + (rho / 2.0) * (z - u).T.reshape(n, c, -1)
         tmp = np.einsum("nlk,ncl->nck", evecs, rhs)
@@ -335,7 +352,8 @@ def constrained_least_squares(
             )
         )
         ref = max(float(np.linalg.norm(b)), float(np.linalg.norm(z)), 1e-30)
-        if primal <= tol * ref and dual <= tol * ref:
+        if primal <= _ADMM_TOL * ref and dual <= _ADMM_TOL * ref:
+            termination = "converged"
             break
         if primal > 10.0 * dual:
             rho *= 2.0
@@ -346,7 +364,7 @@ def constrained_least_squares(
     params = ParameterMatrix(_finite_or_raise(z, "splitting iterate"), c, order)
     state = SolverState(
         iterate=z, candidate=b, aggregate=z, kappa=rho, gamma=1.0 / rho,
-        t=iteration, history=history,
+        t=iteration, history=history, termination=termination,
     )
     return params, state
 

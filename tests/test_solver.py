@@ -153,6 +153,7 @@ def test_splitting_solver_slack_is_exact_ols(problem):
         assert np.array_equal(params.data, ols.data)
         assert state.t == 0
         assert state.history == []
+        assert state.termination == "slack"
 
 
 def test_quadratic_dgf_beats_power_dgf(problem):
@@ -260,16 +261,19 @@ def test_stop_tol_exits_early():
         zero_field, geom, SolverConfig(mode="mirror-descent", max_iters=50, stop_tol=1e-8)
     )
     assert len(md.history) == 1
+    assert md.termination == "stop-tol"
     mp = mirror_prox_backtracking(
         zero_field, geom, SolverConfig(max_iters=50, stop_tol=1e-8)
     )
     assert len(mp.history) == 1
+    assert mp.termination == "stop-tol"
 
 
 def test_history_records_and_csv(problem, tmp_path):
     ev, ols, upper, _ = problem
     _, state = solve(ev, SolverConfig(lambda_=0.5 * upper, max_iters=8))
     assert [rec.iteration for rec in state.history] == list(range(1, 9))
+    assert state.termination == "iteration-cap"
     assert all(math.isfinite(rec.loss) for rec in state.history)
     path = tmp_path / "history.csv"
     write_history_csv(state.history, path)
@@ -281,11 +285,23 @@ def test_history_records_and_csv(problem, tmp_path):
 
 
 def test_splitting_history_columns(problem):
+    """The Gram-form history loss matches the residual-form ls_loss."""
     ev, ols, upper, _ = problem
-    _, state = constrained_least_squares(ev.slices, 1, D, 0.5 * upper)
+    params, state = constrained_least_squares(ev.slices, 1, D, 0.5 * upper)
+    assert state.termination == "converged"
     assert state.history[0].backtracks == 0
     assert state.history[-1].kappa == pytest.approx(state.kappa)
     assert state.history[-1].gamma == pytest.approx(1.0 / state.kappa)
+    assert state.history[-1].loss == pytest.approx(ls_loss(params, ev.slices), rel=1e-12, abs=0)
+    for max_iters in (1, 2, 5):
+        params, state = constrained_least_squares(
+            ev.slices, 1, D, 0.5 * upper, max_iters=max_iters
+        )
+        assert state.t == max_iters
+        assert state.termination == "iteration-cap"
+        assert state.history[-1].loss == pytest.approx(
+            ls_loss(params, ev.slices), rel=1e-12, abs=0
+        )
 
 
 def test_aggregate_stays_inside_ball(problem):
