@@ -16,9 +16,10 @@ import numpy as np
 from lowrank_ar.embedding import approx_rank, factorize, pca_project
 from lowrank_ar.evalkit import reconstruction_error
 from lowrank_ar.field import EmpiricalField, FieldSpec
-from lowrank_ar.model import LinkFunction, SequenceCollection
+from lowrank_ar.model import LinkFunction
 from lowrank_ar.nuclear import nuclear_norm
 from lowrank_ar.solver import constrained_least_squares, least_squares_unconstrained
+from lowrank_ar.study import znorm
 from lowrank_ar.synthetic import gen_benchmark, standard_class_specs
 
 
@@ -40,11 +41,7 @@ def main():
     coll, truth = gen_benchmark(
         [pool[i] for i in args.classes], np.random.default_rng(args.seed)
     )
-    normed = SequenceCollection(
-        sequences=[(s - s.mean()) / s.std() for s in coll.sequences],
-        ids=coll.ids, labels=coll.labels, kind="real",
-    )
-    ev = EmpiricalField(normed, FieldSpec(link=LinkFunction("identity"), order=d))
+    ev = EmpiricalField(znorm(coll), FieldSpec(link=LinkFunction("identity"), order=d))
     slices = ev.slices
     truth_lag = truth.data[1:]
 

@@ -15,60 +15,8 @@ import time
 
 import numpy as np
 
-from lowrank_ar.embedding import approx_rank, factorize
-from lowrank_ar.evalkit import (
-    LambdaProblem,
-    ari,
-    kmeans,
-    lambda_search,
-    reconstruction_error,
-)
-from lowrank_ar.field import EmpiricalField, FieldSpec
-from lowrank_ar.model import LinkFunction, SequenceCollection
-from lowrank_ar.solver import constrained_least_squares, least_squares_unconstrained
+from lowrank_ar.study import recovery_run
 from lowrank_ar.synthetic import gen_benchmark, standard_class_specs
-
-
-def znorm(collection):
-    return SequenceCollection(
-        sequences=[(s - s.mean()) / s.std() for s in collection.sequences],
-        ids=collection.ids,
-        labels=collection.labels,
-        kind="real",
-    )
-
-
-def run_one(specs, master, d):
-    coll, truth = gen_benchmark(specs, master)
-    ev = EmpiricalField(znorm(coll), FieldSpec(link=LinkFunction("identity"), order=d))
-    slices = ev.slices
-    truth_lag = truth.data[1:]
-
-    ols = least_squares_unconstrained(slices, 1, d)
-    err_unc = reconstruction_error(truth_lag, ols.data[1:])
-    rank_unc = approx_rank(np.linalg.svd(ols.data, compute_uv=False))
-
-    problem = LambdaProblem(
-        solve_fn=lambda lam: constrained_least_squares(slices, 1, d, lam)[0],
-        objectives={
-            "reconstruction-error": lambda p: reconstruction_error(truth_lag, p.data[1:])
-        },
-    )
-    result = lambda_search(problem, strategy="brent", objective="reconstruction-error")
-    best = result.best_params
-    err_opt = reconstruction_error(truth_lag, best.data[1:])
-    rank_opt = approx_rank(np.linalg.svd(best.data, compute_uv=False))
-
-    emb = factorize(best, ids=list(coll.ids))
-    part = kmeans(emb.coordinates, len(specs), np.random.default_rng(0), restarts=10)
-    return {
-        "err_unc": err_unc,
-        "err_opt": err_opt,
-        "lambda": result.best_lambda,
-        "ari": ari(coll.labels, part.assignments),
-        "rank_unc": rank_unc,
-        "rank_opt": rank_opt,
-    }
 
 
 def main():
@@ -94,20 +42,20 @@ def main():
     rows = []
     t0 = time.perf_counter()
     for combo in combos:
-        row = run_one([pool[i] for i in combo], master, args.d)
+        row = recovery_run(*gen_benchmark([pool[i] for i in combo], master))
         rows.append(row)
         print(
-            f"{str(combo):<12} {row['err_unc']:8.4f} {row['err_opt']:8.4f} "
-            f"{row['err_opt'] / row['err_unc']:6.3f} {row['lambda']:8.2f} "
-            f"{row['ari']:6.3f} {row['rank_unc']:4d}->{row['rank_opt']:<4d}"
+            f"{str(combo):<12} {row.err_unconstrained:8.4f} {row.err_best:8.4f} "
+            f"{row.err_best / row.err_unconstrained:6.3f} {row.best_lambda:8.2f} "
+            f"{row.ari:6.3f} {row.rank_unconstrained:4d}->{row.rank_best:<4d}"
         )
 
-    ratios = [r["err_opt"] / r["err_unc"] for r in rows]
+    ratios = [r.err_best / r.err_unconstrained for r in rows]
     print(
         f"\nmean ratio {np.mean(ratios):.3f}  "
-        f"mean ARI {np.mean([r['ari'] for r in rows]):.3f}  "
-        f"mean rank {np.mean([r['rank_opt'] for r in rows]):.2f} vs "
-        f"{np.mean([r['rank_unc'] for r in rows]):.2f} unconstrained  "
+        f"mean ARI {np.mean([r.ari for r in rows]):.3f}  "
+        f"mean rank {np.mean([r.rank_best for r in rows]):.2f} vs "
+        f"{np.mean([r.rank_unconstrained for r in rows]):.2f} unconstrained  "
         f"({time.perf_counter() - t0:.0f}s)"
     )
 

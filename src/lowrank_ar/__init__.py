@@ -16,6 +16,7 @@ from lowrank_ar.model import (
 )
 from lowrank_ar.measurement import (
     MeasurementSlice,
+    SliceSet,
     adjoint,
     enumerate_slices,
     forward,
@@ -25,11 +26,9 @@ from lowrank_ar.nuclear import (
     NuclearBallGeometry,
     capped_simplex_project,
     nuclear_norm,
-    omega,
-    omega_subgradient,
     prox_nuc,
 )
-from lowrank_ar.field import EmpiricalField, FieldSpec, field, field_norm_surrogate, ls_loss
+from lowrank_ar.field import EmpiricalField, FieldSpec, field_norm_surrogate, ls_loss
 from lowrank_ar.solver import (
     SolverConfig,
     SolverError,
@@ -80,6 +79,7 @@ __all__ = [
     "build_regressor",
     "predict",
     "MeasurementSlice",
+    "SliceSet",
     "adjoint",
     "enumerate_slices",
     "forward",
@@ -87,12 +87,9 @@ __all__ = [
     "NuclearBallGeometry",
     "capped_simplex_project",
     "nuclear_norm",
-    "omega",
-    "omega_subgradient",
     "prox_nuc",
     "EmpiricalField",
     "FieldSpec",
-    "field",
     "field_norm_surrogate",
     "ls_loss",
     "SolverConfig",

@@ -1,25 +1,25 @@
-"""Least-squares loss and the empirical monotone field over measurement slices.
+"""Least-squares loss and the empirical monotone field over a slice set.
 
-With S slices, the loss and field are the slice averages
+With S slices of weight w = 1/N, regressors X (N, S, K) and raw
+observations Y (N, S, C), the loss and field are the slice averages
 
     ls_loss(B) = (1/S) * sum_t || forward(slice_t, B) - target_t ||^2
-    field(B)   = (1/S) * sum_t adjoint(slice_t, w_t * eta(z_t(B)) - target_t)
+               = (w^2/S) * sum_i || X_i r_i - Y_i ||^2
+    field(B)   = (1/S) * sum_t adjoint(slice_t, w * eta(z_t(B)) - target_t)
+               = (w^2/S) * [(eta(X_i r_i) - Y_i)^T X_i]_i
 
-where z_t(B) are the unweighted per-sequence predictions R_i @ xi_{i,t} and
-the link eta acts blockwise on them; the slice weight w_t scales predictions
-and targets symmetrically (targets are stored pre-scaled), which is what
-extends the link to weighted measurements. Under the identity link the
-residual w*z - target is the forward residual, and
+where r_i holds the rows of R_i, z_t(B) are the unweighted per-sequence
+predictions R_i @ xi_{i,t}, and the link eta acts blockwise on them. Under
+the identity link
 
     field = (1/2) * grad ls_loss        (exact identity, asserted in tests).
 
 For any link, the field vanishes termwise at the generating parameters on
 noiseless data, and monotonicity of eta makes the field monotone.
 
-Slice sums use a fixed pairwise-tree reduction by default: leaves in slice
-order are combined in balanced pairs within chunks of 64 slices, then the
-chunk partials are combined the same way. The tree keeps results independent
-of slice ordering to well below 1e-12 and makes reruns bitwise reproducible.
+Each sum over slices is one batched matrix product per call, with a fixed
+shape for a given slice set, so reruns are bitwise reproducible and a
+reordering of the slices moves the result by rounding only.
 """
 
 from __future__ import annotations
@@ -28,16 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lowrank_ar.measurement import (
-    MeasurementSlice,
-    enumerate_slices,
-    sample_subwindow_slices,
-)
+from lowrank_ar.measurement import SliceSet, enumerate_slices, sample_subwindow_slices
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection, _link_rows
 
 _MODES = ("full-horizon", "stochastic-subwindow")
-_REDUCTIONS = ("tree", "sequential")
-_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -53,15 +47,12 @@ class FieldSpec:
     mode: str = "full-horizon"
     window: int | None = None
     seed: int | None = None
-    reduction: str = "tree"
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.reduction not in _REDUCTIONS:
-            raise ValueError(f"reduction must be one of {_REDUCTIONS}, got {self.reduction!r}")
         if self.mode == "stochastic-subwindow":
             if self.window is None or self.window < self.order + 1:
                 raise ValueError(
@@ -70,101 +61,54 @@ class FieldSpec:
                 )
 
 
-def _tree_sum(arr: np.ndarray) -> np.ndarray:
-    """Balanced pairwise sum over axis 0; odd tails carry to the next level."""
-    while arr.shape[0] > 1:
-        even = arr.shape[0] - (arr.shape[0] % 2)
-        paired = arr[0:even:2] + arr[1:even:2]
-        if even < arr.shape[0]:
-            paired = np.concatenate([paired, arr[even:]], axis=0)
-        arr = paired
-    return arr[0]
+def _predictions(data: np.ndarray, slices: SliceSet) -> np.ndarray:
+    """Unweighted predictions X_i r_i for every slice, shape (N, S, C)."""
+    n, _, k = slices.regressors.shape
+    r = data.T.reshape(n, slices.channel_count, k)
+    return slices.regressors @ r.transpose(0, 2, 1)
 
 
-def _reduce_terms(terms, reduction: str) -> np.ndarray:
-    stacked = terms if isinstance(terms, np.ndarray) else np.stack(terms, axis=0)
-    if reduction == "sequential":
-        out = stacked[0].copy()
-        for t in stacked[1:]:
-            out += t
-        return out
-    return _tree_sum(stacked)
+def _scale(slices: SliceSet) -> float:
+    return slices.weight**2 / len(slices)
 
 
-def _slice_arrays(slices: list[MeasurementSlice]):
-    if not slices:
-        raise ValueError("slice list is empty")
-    c = slices[0].channel_count
-    n = slices[0].n_sequences
-    regs = np.stack([s.regressors for s in slices], axis=0)  # (S, N, K)
-    targets = np.stack([s.target.reshape(n, c) for s in slices], axis=0)  # (S, N, C)
-    weights = np.array([s.weight for s in slices])  # (S,)
-    return regs, targets, weights, c, n
+def _loss_data(data: np.ndarray, slices: SliceSet) -> float:
+    resid = _predictions(data, slices) - slices.observations
+    return float(_scale(slices) * np.vdot(resid, resid))
 
 
-def _loss_data(data: np.ndarray, regs, targets, weights, c: int, reduction: str) -> float:
-    n = regs.shape[1]
-    r = data.T.reshape(n, c, regs.shape[2])
-    z = np.einsum("snk,nck->snc", regs, r)
-    resid = weights[:, None, None] * z - targets
-    per_slice = np.einsum("snc,snc->s", resid, resid)
-    return float(_reduce_terms(per_slice, reduction) / regs.shape[0])
+def _field_data(data: np.ndarray, link: LinkFunction, slices: SliceSet) -> np.ndarray:
+    resid = _link_rows(link, _predictions(data, slices)) - slices.observations
+    grad = resid.transpose(0, 2, 1) @ slices.regressors  # (N, C, K)
+    return _scale(slices) * grad.reshape(slices.n_sequences, -1).T
 
 
-def _field_data(
-    data: np.ndarray,
-    link: LinkFunction,
-    regs,
-    targets,
-    weights,
-    c: int,
-    reduction: str,
-) -> np.ndarray:
-    s_total, n, k = regs.shape
-    r = data.T.reshape(n, c, k)
-    partials = []
-    for lo in range(0, s_total, _CHUNK):
-        hi = min(lo + _CHUNK, s_total)
-        z = np.einsum("snk,nck->snc", regs[lo:hi], r)
-        resid = weights[lo:hi, None, None] * _link_rows(link, z) - targets[lo:hi]
-        terms = weights[lo:hi, None, None, None] * np.einsum(
-            "snc,snk->snck", resid, regs[lo:hi]
-        )
-        terms = terms.reshape(hi - lo, n, c * k)
-        if reduction == "sequential":
-            chunk_sum = terms[0].copy()
-            for t in terms[1:]:
-                chunk_sum += t
-        else:
-            chunk_sum = _tree_sum(terms)
-        partials.append(chunk_sum)
-    total = _reduce_terms(partials, reduction)
-    return total.T / s_total
+def _check_compatible(params: ParameterMatrix, slices: SliceSet) -> None:
+    if (
+        params.channel_count != slices.channel_count
+        or params.order != slices.order
+        or params.n_sequences != slices.n_sequences
+    ):
+        raise ValueError("params incompatible with slices")
 
 
 # --------------------------------------------------------------------------
-# contract functions on explicit slice lists
+# contract functions on explicit slice sets
 
 
-def ls_loss(params: ParameterMatrix, slices: list[MeasurementSlice], reduction: str = "tree") -> float:
+def ls_loss(params: ParameterMatrix, slices: SliceSet) -> float:
     """(1/S) * sum over slices of the squared forward-residual norm."""
-    regs, targets, weights, c, n = _slice_arrays(slices)
-    if params.channel_count != c or params.n_sequences != n:
-        raise ValueError("params incompatible with slices")
-    return _loss_data(params.data, regs, targets, weights, c, reduction)
+    _check_compatible(params, slices)
+    return _loss_data(params.data, slices)
 
 
-def field(spec: FieldSpec, params: ParameterMatrix, slices: list[MeasurementSlice]) -> np.ndarray:
+def field(spec: FieldSpec, params: ParameterMatrix, slices: SliceSet) -> np.ndarray:
     """Empirical field (1/S) * sum_t adjoint(slice_t, residual_t) as an (m, N) array."""
-    regs, targets, weights, c, n = _slice_arrays(slices)
-    if params.channel_count != c or params.n_sequences != n:
-        raise ValueError("params incompatible with slices")
-    return _field_data(params.data, spec.link, regs, targets, weights, c, spec.reduction)
+    _check_compatible(params, slices)
+    return _field_data(params.data, spec.link, slices)
 
 
-def field_norm_surrogate(
-    spec: FieldSpec, params: ParameterMatrix, slices: list[MeasurementSlice]
-) -> float:
+def field_norm_surrogate(spec: FieldSpec, params: ParameterMatrix, slices: SliceSet) -> float:
     """Frobenius norm of the empirical field; a practical convergence monitor."""
     return float(np.linalg.norm(field(spec, params, slices)))
 
@@ -176,8 +120,8 @@ def field_norm_surrogate(
 class EmpiricalField:
     """Bundles a collection and a FieldSpec into field/loss callables.
 
-    Full-horizon mode precomputes the slice tensors once. Stochastic mode
-    redraws one window per sequence from an internal generator on every
+    Full-horizon mode builds the slice set once. Stochastic mode draws a
+    fresh set, one window per sequence, from an internal generator on every
     evaluation (field and loss alike), so evaluation order matters to the
     draw sequence but reruns with the same seed are bitwise identical.
     """
@@ -192,7 +136,6 @@ class EmpiricalField:
         )
         if spec.mode == "full-horizon":
             self._slices = enumerate_slices(collection, spec.order)
-            self._arrays = _slice_arrays(self._slices)
             self._rng = None
         else:
             if spec.window > collection.min_length:
@@ -201,28 +144,24 @@ class EmpiricalField:
                     f"{collection.min_length}"
                 )
             self._slices = None
-            self._arrays = None
             self._rng = np.random.default_rng(spec.seed)
 
     @property
-    def slices(self) -> list[MeasurementSlice]:
-        """The full-horizon slice list (stochastic mode has no fixed list)."""
+    def slices(self) -> SliceSet:
+        """The full-horizon slice set (stochastic mode has no fixed set)."""
         if self._slices is None:
             raise ValueError("stochastic mode redraws slices per call")
         return self._slices
 
-    def _current_arrays(self):
-        if self._arrays is not None:
-            return self._arrays
-        drawn = sample_subwindow_slices(
+    def _current_slices(self) -> SliceSet:
+        if self._slices is not None:
+            return self._slices
+        return sample_subwindow_slices(
             self.collection, self.spec.order, self.spec.window, self._rng
         )
-        return _slice_arrays(drawn)
 
     def field(self, data: np.ndarray) -> np.ndarray:
-        regs, targets, weights, c, _ = self._current_arrays()
-        return _field_data(data, self.spec.link, regs, targets, weights, c, self.spec.reduction)
+        return _field_data(data, self.spec.link, self._current_slices())
 
     def loss(self, data: np.ndarray) -> float:
-        regs, targets, weights, c, _ = self._current_arrays()
-        return _loss_data(data, regs, targets, weights, c, self.spec.reduction)
+        return _loss_data(data, self._current_slices())

@@ -1,17 +1,20 @@
-"""Measurement operator over time slices, its adjoint, and slice sampling.
+"""Measurement operator over time slices, its adjoint, and the slice set.
 
 A slice fixes one time index t and packages the regressor window of every
 sequence together with the stacked observation vector at t. The forward map
 
-    A_t(B) = weight * vec([R_i @ xi_{i,t}]_{i=1..N})
+    A_t(B) = w * vec([R_i @ xi_{i,t}]_{i=1..N})
 
 is linear in B, and adjoint() is its exact transpose, so the pair satisfies
-<A_t(B), y> = <B, A_t*(y)> for all B, y. The default weight is 1/N.
+<A_t(B), y> = <B, A_t*(y)> for all B, y. The weight w is always 1/N.
 
-Scaling convention: a slice's target is stored on the operator scale, i.e.
-already multiplied by the slice weight. forward() output and target are then
-directly comparable, and the residual pipeline in the field module never has
-to undo the weight.
+All slices of one design live in a SliceSet: read-only regressors of shape
+(N, S, K) with K = C*d+1, built once from strided views of the sequences,
+and the raw observations (N, S, C). The field, the loss and the
+least-squares solvers read those two arrays directly. Indexing or iterating
+a SliceSet yields MeasurementSlice views, whose target is on the operator
+scale (already multiplied by w) so that forward() output and target compare
+directly.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from lowrank_ar.model import ParameterMatrix, SequenceCollection
 
@@ -62,17 +66,67 @@ class MeasurementSlice:
     def n_sequences(self) -> int:
         return self.regressors.shape[0]
 
-    @classmethod
-    def from_observations(cls, regressors, observations, weight, channel_count, order):
-        """Build a slice from raw (unweighted) observations, shape (N, C)."""
-        obs = np.atleast_2d(np.asarray(observations, dtype=float))
-        return cls(
-            regressors=regressors,
-            target=weight * obs.reshape(-1),
-            weight=weight,
-            channel_count=channel_count,
-            order=order,
+
+def _read_only(arr) -> np.ndarray:
+    view = np.asarray(arr, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True)
+class SliceSet:
+    """Every slice of one design: regressors (N, S, K), observations (N, S, C).
+
+    Observations are raw (not weighted); the weight is 1/N. len() is the
+    slice count S, and set[s] is slice s as a MeasurementSlice.
+    """
+
+    regressors: np.ndarray
+    observations: np.ndarray
+    order: int
+
+    def __post_init__(self):
+        reg, obs = _read_only(self.regressors), _read_only(self.observations)
+        if reg.ndim != 3 or obs.ndim != 3 or reg.shape[:2] != obs.shape[:2]:
+            raise ValueError(
+                f"need regressors (N, S, K) and observations (N, S, C), "
+                f"got {reg.shape} and {obs.shape}"
+            )
+        if reg.shape[1] < 1:
+            raise ValueError("slice set is empty")
+        if reg.shape[2] != obs.shape[2] * self.order + 1:
+            raise ValueError(
+                f"regressor width {reg.shape[2]} != C*d+1 = {obs.shape[2] * self.order + 1}"
+            )
+        object.__setattr__(self, "regressors", reg)
+        object.__setattr__(self, "observations", obs)
+
+    @property
+    def n_sequences(self) -> int:
+        return self.regressors.shape[0]
+
+    @property
+    def channel_count(self) -> int:
+        return self.observations.shape[2]
+
+    @property
+    def weight(self) -> float:
+        return 1.0 / self.n_sequences
+
+    def __len__(self) -> int:
+        return self.regressors.shape[1]
+
+    def __getitem__(self, s: int) -> MeasurementSlice:
+        return MeasurementSlice(
+            regressors=self.regressors[:, s],
+            target=self.weight * self.observations[:, s].reshape(-1),
+            weight=self.weight,
+            channel_count=self.channel_count,
+            order=self.order,
         )
+
+    def __iter__(self):
+        return (self[s] for s in range(len(self)))
 
 
 def _check_params(slice_: MeasurementSlice, params: ParameterMatrix) -> None:
@@ -126,61 +180,46 @@ def adjoint(slice_: MeasurementSlice, y) -> np.ndarray:
 # slice construction
 
 
-def _regressor_rows(collection: SequenceCollection, t: int, d: int) -> np.ndarray:
-    """Regressor windows of all sequences at 1-indexed t, one per row."""
-    rows = np.empty((collection.n_sequences, collection.channel_count * d + 1))
-    rows[:, 0] = 1.0
-    for i, seq in enumerate(collection.sequences):
-        window = seq[:, t - 1 - d : t - 1][:, ::-1]
-        rows[i, 1:] = window.T.reshape(-1)
-    return rows
+def _slice_set(segments: np.ndarray, d: int) -> SliceSet:
+    """Slices t = d+1 .. L of equal-length segments of shape (N, C, L).
+
+    Lag window s holds columns s+d-1 down to s (newest first) and predicts
+    column s+d; the channels of one step stay contiguous in the regressor.
+    """
+    n, c, length = segments.shape
+    lags = sliding_window_view(segments[:, :, :-1], d, axis=2)[..., ::-1]  # (N, C, S, d)
+    regs = np.empty((n, length - d, c * d + 1))
+    regs[:, :, 0] = 1.0
+    regs[:, :, 1:] = lags.transpose(0, 2, 3, 1).reshape(n, length - d, c * d)
+    obs = np.ascontiguousarray(segments[:, :, d:].transpose(0, 2, 1))
+    return SliceSet(regs, obs, d)
 
 
-def _observation_rows(collection: SequenceCollection, t: int) -> np.ndarray:
-    obs = np.empty((collection.n_sequences, collection.channel_count))
-    for i, seq in enumerate(collection.sequences):
-        obs[i] = seq[:, t - 1]
-    return obs
-
-
-def enumerate_slices(
-    collection: SequenceCollection, d: int, weight: float | None = None
-) -> list[MeasurementSlice]:
-    """One slice per t = d+1 .. T_min, targets from the observed values at t."""
+def _check_order(d: int) -> None:
     if d < 1:
         raise ValueError(f"order d must be >= 1, got {d}")
+
+
+def enumerate_slices(collection: SequenceCollection, d: int) -> SliceSet:
+    """One slice per t = d+1 .. T_min, targets from the observed values at t."""
+    _check_order(d)
     t_min = collection.min_length
     if t_min < d + 1:
         raise ValueError(f"shortest sequence length {t_min} < d+1 = {d + 1}")
-    w = 1.0 / collection.n_sequences if weight is None else float(weight)
-    c = collection.channel_count
-    return [
-        MeasurementSlice.from_observations(
-            regressors=_regressor_rows(collection, t, d),
-            observations=_observation_rows(collection, t),
-            weight=w,
-            channel_count=c,
-            order=d,
-        )
-        for t in range(d + 1, t_min + 1)
-    ]
+    return _slice_set(np.stack([seq[:, :t_min] for seq in collection.sequences]), d)
 
 
 def sample_subwindow_slices(
-    collection: SequenceCollection,
-    d: int,
-    window: int,
-    rng: np.random.Generator,
-    weight: float | None = None,
-) -> list[MeasurementSlice]:
+    collection: SequenceCollection, d: int, window: int, rng: np.random.Generator
+) -> SliceSet:
     """Slices from one uniformly random length-G window per sequence.
 
-    Each sequence independently contributes a contiguous window of length G;
-    windows are aligned positionally, giving G-d slices. Deterministic given
-    the generator state, so a fixed seed reproduces the slice set.
+    Each sequence independently contributes a contiguous window of length G
+    (one generator draw per sequence, in collection order); windows are
+    aligned positionally, giving G-d slices. Deterministic given the
+    generator state, so a fixed seed reproduces the slice set.
     """
-    if d < 1:
-        raise ValueError(f"order d must be >= 1, got {d}")
+    _check_order(d)
     if window < d + 1:
         raise ValueError(f"window G={window} must be at least d+1 = {d + 1}")
     if window > collection.min_length:
@@ -190,12 +229,7 @@ def sample_subwindow_slices(
     starts = [
         int(rng.integers(0, seq.shape[1] - window + 1)) for seq in collection.sequences
     ]
-    windowed = SequenceCollection(
-        sequences=[
-            seq[:, s : s + window] for seq, s in zip(collection.sequences, starts)
-        ],
-        ids=collection.ids,
-        labels=collection.labels,
-        kind=collection.kind,
+    segments = np.stack(
+        [seq[:, s : s + window] for seq, s in zip(collection.sequences, starts)]
     )
-    return enumerate_slices(windowed, d, weight=weight)
+    return _slice_set(segments, d)

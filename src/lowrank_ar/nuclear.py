@@ -1,23 +1,11 @@
-"""Nuclear-ball geometry: distance-generating function, capped simplex, prox.
+"""Nuclear-ball geometry: capped-simplex projection and the prox step.
 
-The power DGF on matrices of shape (m_r, n_c) with r = min(m_r, n_c) is
-
-    omega(M) = alpha * sum_i sigma_i(M)^(1+q),
-    q = 1 / (2 ln(2r)),    alpha = 4 sqrt(e) ln(2r) / (2^q (1+q)),
-
-with subgradient alpha*(1+q) * sum_i sigma_i^q u_i v_i^T. The prox recipe
-reduces to a singular-value problem: form Y' = X - d_omega(Z), take its SVD,
-project the singular values onto the capped simplex {t >= 0, sum t <= lambda}
-under the quadratic objective sum(t^2/2 - sigma*t), and reassemble with a
-negated diagonal.
-
-Two subgradient variants are provided. "power" feeds the prox the power-DGF
-subgradient exactly as the recipe prints it. "quadratic" uses d_omega(Z) = Z,
-which makes the prox the exact Euclidean projection of Z - X onto the nuclear
-ball; this is the default because the power variant remaps iterates through
-sigma -> alpha*(1+q)*sigma^q on every step and therefore does not settle on
-zeros of the field (see the solver tests for the head-to-head comparison).
-omega() and omega_subgradient() always evaluate the power formulas.
+The prox step at Z applied to X is the Euclidean projection of Z - X onto
+the nuclear ball {M : ||M||_* <= lambda}, the mirror step of the quadratic
+distance-generating function. It reduces to a singular-value problem: take
+the SVD of Y' = X - Z, project the singular values onto the capped simplex
+{t >= 0, sum t <= lambda} under the quadratic objective sum(t^2/2 - sigma*t),
+and reassemble with a negated diagonal.
 """
 
 from __future__ import annotations
@@ -27,16 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_DGF_VARIANTS = ("quadratic", "power")
-
-# Singular values below this fraction of the largest are treated as zero in
-# the subgradient; sigma^q is continuous at 0 but noise there is amplified.
-_SV_CUTOFF = 1e-12
-
 
 @dataclass(frozen=True)
 class NuclearBallGeometry:
-    """Nuclear ball of a fixed matrix shape, radius, and prox variant.
+    """Nuclear ball of a fixed matrix shape and radius.
 
     radius may be math.inf, the documented sentinel for an unconstrained run;
     the prox then skips the projection entirely.
@@ -45,28 +27,12 @@ class NuclearBallGeometry:
     rows: int
     cols: int
     radius: float
-    dgf: str = "quadratic"
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"matrix shape must be positive, got {self.rows}x{self.cols}")
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.dgf not in _DGF_VARIANTS:
-            raise ValueError(f"dgf must be one of {_DGF_VARIANTS}, got {self.dgf!r}")
-
-    @property
-    def r(self) -> int:
-        return min(self.rows, self.cols)
-
-    @property
-    def q(self) -> float:
-        return 1.0 / (2.0 * math.log(2 * self.r))
-
-    @property
-    def alpha(self) -> float:
-        q = self.q
-        return 4.0 * math.sqrt(math.e) * math.log(2 * self.r) / (2.0**q * (1.0 + q))
 
     def check_shape(self, M: np.ndarray, name: str) -> np.ndarray:
         arr = np.asarray(M, dtype=float)
@@ -82,27 +48,6 @@ class NuclearBallGeometry:
 def nuclear_norm(M) -> float:
     """Sum of singular values."""
     return float(np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False).sum())
-
-
-def omega(geom: NuclearBallGeometry, M) -> float:
-    """alpha * sum sigma_i^(1+q); zero at the zero matrix, nonnegative."""
-    arr = geom.check_shape(M, "M")
-    sigma = np.linalg.svd(arr, compute_uv=False)
-    return float(geom.alpha * np.sum(sigma ** (1.0 + geom.q)))
-
-
-def omega_subgradient(geom: NuclearBallGeometry, M) -> np.ndarray:
-    """alpha*(1+q) * sum_i sigma_i^q u_i v_i^T from the SVD of M.
-
-    Singular values below _SV_CUTOFF times the largest contribute zero.
-    """
-    arr = geom.check_shape(M, "M")
-    u, sigma, vt = np.linalg.svd(arr, full_matrices=False)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        return np.zeros_like(arr)
-    keep = sigma > _SV_CUTOFF * sigma[0]
-    scale = geom.alpha * (1.0 + geom.q) * sigma[keep] ** geom.q
-    return (u[:, keep] * scale) @ vt[keep]
 
 
 def capped_simplex_project(sigma, radius: float) -> np.ndarray:
@@ -132,16 +77,14 @@ def capped_simplex_project(sigma, radius: float) -> np.ndarray:
 def prox_nuc(geom: NuclearBallGeometry, Z, X) -> np.ndarray:
     """Prox step at Z applied to X over the nuclear ball.
 
-    Computes Y' = X - d_omega(Z), takes the SVD Y' = U diag(delta) V^T,
-    projects delta onto the capped simplex, and returns U diag(-t) V^T.
-    The negated diagonal makes the result track the step Z - X: with the
-    quadratic variant it is exactly the Euclidean projection of Z - X onto
-    the ball. The output always satisfies nuclear norm <= radius + 1e-9.
+    Computes Y' = X - Z, takes the SVD Y' = U diag(delta) V^T, projects
+    delta onto the capped simplex, and returns U diag(-t) V^T, which is
+    exactly the Euclidean projection of Z - X onto the ball. The output
+    always satisfies nuclear norm <= radius + 1e-9.
     """
     z = geom.check_shape(Z, "Z")
     x = geom.check_shape(X, "X")
-    grad = z if geom.dgf == "quadratic" else omega_subgradient(geom, z)
-    y = x - grad
+    y = x - z
     if math.isinf(geom.radius):
         # projection inactive: U diag(-delta) V^T reassembles to -Y' exactly
         return -y

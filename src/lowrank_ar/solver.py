@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lowrank_ar.field import EmpiricalField
-from lowrank_ar.measurement import MeasurementSlice
+from lowrank_ar.measurement import SliceSet
 from lowrank_ar.model import ParameterMatrix
 from lowrank_ar.nuclear import NuclearBallGeometry, capped_simplex_project, prox_nuc
 
@@ -61,7 +61,6 @@ class SolverConfig:
     stop_tol: float | None = None
     kappa_decay: float = 1.0
     max_backtracks: int = 60
-    dgf: str = "quadratic"
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -229,7 +228,6 @@ def solve(evaluator: EmpiricalField, config: SolverConfig):
         rows=evaluator.param_rows,
         cols=evaluator.n_sequences,
         radius=config.lambda_,
-        dgf=config.dgf,
     )
     if config.mode == "mirror-descent":
         state = mirror_descent(evaluator.field, geom, config, loss_fn=evaluator.loss)
@@ -239,31 +237,34 @@ def solve(evaluator: EmpiricalField, config: SolverConfig):
     return params, state
 
 
+def _check_slices(slices: SliceSet, channel_count: int, order: int) -> None:
+    if not isinstance(slices, SliceSet):
+        raise ValueError(f"expected a SliceSet, got {type(slices).__name__}")
+    if slices.channel_count != channel_count or slices.order != order:
+        raise ValueError(
+            f"slice set has C={slices.channel_count}, d={slices.order}; "
+            f"expected C={channel_count}, d={order}"
+        )
+
+
 def least_squares_unconstrained(
-    slices: list[MeasurementSlice], channel_count: int, order: int
+    slices: SliceSet, channel_count: int, order: int
 ) -> ParameterMatrix:
     """Exact minimizer of ls_loss under the identity link, fit per sequence.
 
     The loss separates across sequences, so each column is an independent
     ordinary least-squares solve on that sequence's regressor rows.
     """
-    if not slices:
-        raise ValueError("slice list is empty")
-    n = slices[0].n_sequences
-    c = channel_count
-    design = np.stack([s.regressors for s in slices], axis=1)  # (N, S, K)
-    targets = np.stack(
-        [s.target.reshape(n, c) / s.weight for s in slices], axis=1
-    )  # (N, S, C)
+    _check_slices(slices, channel_count, order)
     cols = []
-    for i in range(n):
-        coef, *_ = np.linalg.lstsq(design[i], targets[i], rcond=None)  # (K, C)
+    for design, targets in zip(slices.regressors, slices.observations):
+        coef, *_ = np.linalg.lstsq(design, targets, rcond=None)  # (K, C)
         cols.append(coef.T.reshape(-1))
-    return ParameterMatrix(np.column_stack(cols), c, order)
+    return ParameterMatrix(np.column_stack(cols), channel_count, order)
 
 
 def constrained_least_squares(
-    slices: list[MeasurementSlice],
+    slices: SliceSet,
     channel_count: int,
     order: int,
     radius: float,
@@ -288,15 +289,14 @@ def constrained_least_squares(
     badly scaled individual sequences are, which is what makes it the right
     tool for recovery studies on data with near-unstable draws.
     """
-    if not slices:
-        raise ValueError("slice list is empty")
+    _check_slices(slices, channel_count, order)
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    n = slices[0].n_sequences
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    n = slices.n_sequences
     c = channel_count
-    s_count = len(slices)
-    weight = slices[0].weight
-    scale = weight**2 / s_count  # ls_loss(B) = scale * sum_i ||X_i b_i - y_i||^2
+    scale = slices.weight**2 / len(slices)  # ls_loss(B) = scale * sum_i ||X_i b_i - y_i||^2
 
     unconstrained = least_squares_unconstrained(slices, c, order)
     sigma_unc = np.linalg.svd(unconstrained.data, compute_uv=False)
@@ -309,10 +309,7 @@ def constrained_least_squares(
         )
         return unconstrained, state
 
-    design = np.stack([s.regressors for s in slices], axis=1)  # (N, S, K)
-    targets = np.stack(
-        [sl.target.reshape(n, c) / sl.weight for sl in slices], axis=1
-    )  # (N, S, C)
+    design, targets = slices.regressors, slices.observations  # (N, S, K), (N, S, C)
     gram = np.einsum("nsk,nsl->nkl", design, design)  # (N, K, K)
     xty = np.einsum("nsk,nsc->nck", design, targets)  # (N, C, K)
     yty = float(np.sum(targets * targets))
@@ -331,7 +328,6 @@ def constrained_least_squares(
     z = np.zeros((m, n))
     u = np.zeros((m, n))
     history: list[HistoryRecord] = []
-    iteration = 0
     termination = "iteration-cap"
     for iteration in range(1, max_iters + 1):
         rhs = xty + (rho / 2.0) * (z - u).T.reshape(n, c, -1)
@@ -362,8 +358,9 @@ def constrained_least_squares(
             rho /= 2.0
             u *= 2.0
     params = ParameterMatrix(_finite_or_raise(z, "splitting iterate"), c, order)
+    last = history[-1]  # rho may have been rebalanced after z was produced
     state = SolverState(
-        iterate=z, candidate=b, aggregate=z, kappa=rho, gamma=1.0 / rho,
+        iterate=z, candidate=b, aggregate=z, kappa=last.kappa, gamma=last.gamma,
         t=iteration, history=history, termination=termination,
     )
     return params, state

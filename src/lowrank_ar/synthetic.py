@@ -33,6 +33,8 @@ STANDARD_PROCEDURES = (
 )
 
 _BLOWUP = 1e12
+# Coefficient draws a sequence may make before an unstable class is reported.
+_MAX_DRAWS = 50
 
 
 class UnstableCoefficientsError(RuntimeError):
@@ -179,13 +181,13 @@ def _gen_sequence(
     child: np.random.Generator,
     fixed_vector: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # One retry with fresh coefficients and path, then give up.
-    for attempt in range(2):
+    # Fresh coefficients and path on each retry; the last failure propagates.
+    for attempt in range(_MAX_DRAWS):
         coeffs = perturb(baseline, spec, child, fixed_vector=fixed_vector)
         try:
             path = simulate_ar(coeffs, spec.t_len, spec.d, spec.noise_var, child)
         except UnstableCoefficientsError:
-            if attempt == 1:
+            if attempt == _MAX_DRAWS - 1:
                 raise
             continue
         return coeffs, path

@@ -21,20 +21,14 @@ from scipy.optimize import brentq
 from conftest import make_collection, make_evaluator
 from lowrank_ar import cli
 from lowrank_ar.dataio import read_json, write_json
-from lowrank_ar.embedding import approx_rank, factorize, pca_project
+from lowrank_ar.embedding import factorize, pca_project
 from lowrank_ar.encoders import (
     build_huffman,
     decode_symbols,
     encode_nucleotides,
     encode_text,
 )
-from lowrank_ar.evalkit import (
-    LambdaProblem,
-    ari,
-    kmeans,
-    lambda_search,
-    reconstruction_error,
-)
+from lowrank_ar.evalkit import reconstruction_error
 from lowrank_ar.field import EmpiricalField, FieldSpec, ls_loss
 from lowrank_ar.measurement import adjoint, enumerate_slices, forward
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
@@ -45,6 +39,7 @@ from lowrank_ar.solver import (
     least_squares_unconstrained,
     solve,
 )
+from lowrank_ar.study import recovery_run, znorm
 from lowrank_ar.synthetic import GenClassSpec, gen_benchmark, standard_class_specs
 
 
@@ -57,16 +52,6 @@ def report(capsys):
         assert ok, line
 
     return _report
-
-
-def znorm(collection):
-    """Per-sequence standardization; the lag structure is scale invariant."""
-    return SequenceCollection(
-        sequences=[(s - s.mean()) / s.std() for s in collection.sequences],
-        ids=collection.ids,
-        labels=collection.labels,
-        kind="real",
-    )
 
 
 # ------------------------------------------------------------------ 01
@@ -224,43 +209,16 @@ def desk_study():
     combos = [
         sorted(master.choice(10, size=3, replace=False).tolist()) for _ in range(10)
     ]
-    wins, ratios, aris, ranks_opt, ranks_unc = 0, [], [], [], []
-    for combo in combos:
-        coll, truth = gen_benchmark([pool[i] for i in combo], master)
-        ev = EmpiricalField(
-            znorm(coll), FieldSpec(link=LinkFunction("identity"), order=15)
-        )
-        slices = ev.slices
-        truth_lag = truth.data[1:]
-
-        ols = least_squares_unconstrained(slices, 1, 15)
-        err_unc = reconstruction_error(truth_lag, ols.data[1:])
-        ranks_unc.append(approx_rank(np.linalg.svd(ols.data, compute_uv=False)))
-
-        problem = LambdaProblem(
-            solve_fn=lambda lam: constrained_least_squares(slices, 1, 15, lam)[0],
-            objectives={
-                "reconstruction-error": lambda p: reconstruction_error(
-                    truth_lag, p.data[1:]
-                )
-            },
-        )
-        result = lambda_search(problem, strategy="brent", objective="reconstruction-error")
-        best = result.best_params
-        err_opt = reconstruction_error(truth_lag, best.data[1:])
-        ranks_opt.append(approx_rank(np.linalg.svd(best.data, compute_uv=False)))
-        wins += int(err_opt <= 0.6 * err_unc)
-        ratios.append(err_opt / err_unc)
-
-        emb = factorize(best, ids=list(coll.ids))
-        part = kmeans(emb.coordinates, 3, np.random.default_rng(0), restarts=10)
-        aris.append(ari(coll.labels, part.assignments))
+    runs = [
+        recovery_run(*gen_benchmark([pool[i] for i in combo], master))
+        for combo in combos
+    ]
     return {
-        "wins": wins,
-        "mean_ratio": float(np.mean(ratios)),
-        "mean_ari": float(np.mean(aris)),
-        "rank_opt": float(np.mean(ranks_opt)),
-        "rank_unc": float(np.mean(ranks_unc)),
+        "wins": sum(r.err_best <= 0.6 * r.err_unconstrained for r in runs),
+        "mean_ratio": float(np.mean([r.err_best / r.err_unconstrained for r in runs])),
+        "mean_ari": float(np.mean([r.ari for r in runs])),
+        "rank_opt": float(np.mean([r.rank_best for r in runs])),
+        "rank_unc": float(np.mean([r.rank_unconstrained for r in runs])),
         "seconds": time.perf_counter() - t0,
     }
 

@@ -112,6 +112,13 @@ def test_synth_unstable_class_exits_3(tmp_path):
     assert run(["synth", "--config", cfg, "--out", tmp_path / "out"]) == 3
 
 
+def test_synth_redraws_unstable_sequences(tmp_path):
+    # seed 1 draws explosive coefficients for some sequences more than once
+    out = tmp_path / "out"
+    assert run(["synth", "--d", 3, "--seed", 1, "--out", out]) == 0
+    assert len(read_labels_csv(out / "labels.csv")) == 900
+
+
 # ---------------------------------------------------------------- embed
 
 

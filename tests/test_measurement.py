@@ -5,6 +5,7 @@ import pytest
 
 from lowrank_ar.measurement import (
     MeasurementSlice,
+    SliceSet,
     adjoint,
     enumerate_slices,
     forward,
@@ -19,8 +20,9 @@ from conftest import make_collection
 def random_slice(rng, n=4, c=2, d=3, weight=0.25):
     regs = np.hstack([np.ones((n, 1)), rng.standard_normal((n, c * d))])
     obs = rng.standard_normal((n, c))
-    return MeasurementSlice.from_observations(
-        regressors=regs, observations=obs, weight=weight, channel_count=c, order=d
+    return MeasurementSlice(
+        regressors=regs, target=weight * obs.reshape(-1), weight=weight,
+        channel_count=c, order=d,
     )
 
 
@@ -31,15 +33,6 @@ def random_params(rng, n=4, c=2, d=3):
 
 
 # ---------------------------------------------------------------- validation
-
-
-def test_from_observations_prescales_target(rng):
-    sl = random_slice(rng, weight=0.5)
-    obs = sl.target / 0.5
-    rebuilt = MeasurementSlice.from_observations(
-        sl.regressors, obs.reshape(sl.n_sequences, 2), 0.5, 2, 3
-    )
-    assert np.allclose(rebuilt.target, sl.target)
 
 
 def test_slice_validation_errors(rng):
@@ -126,10 +119,30 @@ def test_enumerate_slices_count_and_targets(rng):
         )
 
 
-def test_enumerate_slices_custom_weight(rng):
-    coll = make_collection(rng, n=2, t_len=8)
-    slices = enumerate_slices(coll, 2, weight=3.0)
-    assert all(s.weight == 3.0 for s in slices)
+def test_slice_set_is_read_only_and_matches_its_views(rng):
+    coll = make_collection(rng, n=3, c=2, t_len=10)
+    slices = enumerate_slices(coll, 2)
+    assert slices.regressors.shape == (3, 8, 5)
+    assert slices.observations.shape == (3, 8, 2)
+    assert not slices.regressors.flags.writeable
+    assert not slices.observations.flags.writeable
+    views = list(slices)
+    assert len(views) == len(slices) == 8
+    for s, sl in enumerate(views):
+        assert np.array_equal(sl.regressors, slices.regressors[:, s])
+        assert np.array_equal(sl.target, slices.weight * slices.observations[:, s].reshape(-1))
+    assert np.array_equal(slices[-1].regressors, views[-1].regressors)
+
+
+def test_slice_set_validation(rng):
+    slices = enumerate_slices(make_collection(rng, n=2, c=1, t_len=10), 2)
+    regs, obs = slices.regressors, slices.observations
+    with pytest.raises(ValueError):
+        SliceSet(regs[:, :, :-1], obs, 2)
+    with pytest.raises(ValueError):
+        SliceSet(regs, obs[:, :-1], 2)
+    with pytest.raises(ValueError):
+        SliceSet(regs[:, :0], obs[:, :0], 2)
 
 
 def test_enumerate_slices_needs_long_enough_sequences(rng):
@@ -165,6 +178,22 @@ def test_subwindow_slices_window_bounds(rng):
         sample_subwindow_slices(coll, 3, 3, np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_subwindow_slices(coll, 3, 21, np.random.default_rng(0))
+
+
+def test_subwindow_slices_equal_enumerated_cut_collection(rng):
+    # unequal lengths: every sequence gets its own range of start positions
+    seqs = tuple(rng.standard_normal((2, t_len)) for t_len in (30, 45, 60))
+    coll = SequenceCollection(sequences=seqs, ids=("a", "b", "c"))
+    d, window = 3, 12
+    drawn = sample_subwindow_slices(coll, d, window, np.random.default_rng(9))
+    twin = np.random.default_rng(9)
+    starts = [int(twin.integers(0, seq.shape[1] - window + 1)) for seq in seqs]
+    cut = SequenceCollection(
+        sequences=[seq[:, s : s + window] for seq, s in zip(seqs, starts)], ids=coll.ids
+    )
+    expected = enumerate_slices(cut, d)
+    assert np.array_equal(drawn.regressors, expected.regressors)
+    assert np.array_equal(drawn.observations, expected.observations)
 
 
 def test_subwindow_slices_use_contiguous_windows():

@@ -13,8 +13,6 @@ from lowrank_ar.nuclear import (
     NuclearBallGeometry,
     capped_simplex_project,
     nuclear_norm,
-    omega,
-    omega_subgradient,
     prox_nuc,
 )
 
@@ -42,24 +40,11 @@ def project_matrix_oracle(M, radius):
 # ---------------------------------------------------------------- geometry
 
 
-def test_geometry_constants():
-    geom = NuclearBallGeometry(rows=6, cols=4, radius=2.0)
-    r = 4
-    assert geom.r == r
-    assert geom.q == pytest.approx(1.0 / (2.0 * math.log(2 * r)), rel=1e-15)
-    expected_alpha = (
-        4.0 * math.sqrt(math.e) * math.log(2 * r) / (2.0**geom.q * (1.0 + geom.q))
-    )
-    assert geom.alpha == pytest.approx(expected_alpha, rel=1e-15)
-
-
 def test_geometry_validation():
     with pytest.raises(ValueError):
         NuclearBallGeometry(rows=0, cols=3, radius=1.0)
     with pytest.raises(ValueError):
         NuclearBallGeometry(rows=3, cols=3, radius=0.0)
-    with pytest.raises(ValueError):
-        NuclearBallGeometry(rows=3, cols=3, radius=1.0, dgf="cubic")
 
 
 def test_check_shape(rng):
@@ -143,44 +128,6 @@ def test_capped_simplex_distance_shrinks_with_radius(s, r1, r2):
     assert d_hi <= d_lo + 1e-9
 
 
-# ------------------------------------------------------------------- omega
-
-
-def test_omega_zero_and_positive(rng):
-    geom = NuclearBallGeometry(rows=4, cols=3, radius=1.0)
-    assert omega(geom, np.zeros((4, 3))) == 0.0
-    assert omega(geom, rng.standard_normal((4, 3))) > 0.0
-
-
-def test_omega_homogeneity(rng):
-    geom = NuclearBallGeometry(rows=4, cols=3, radius=1.0)
-    M = rng.standard_normal((4, 3))
-    c = 2.5
-    assert omega(geom, c * M) == pytest.approx(
-        c ** (1.0 + geom.q) * omega(geom, M), rel=1e-12
-    )
-
-
-def test_omega_subgradient_matches_finite_differences(rng):
-    geom = NuclearBallGeometry(rows=4, cols=4, radius=1.0)
-    # well-separated singular values keep the SVD differentiable
-    M = (np.diag([3.0, 2.0, 1.0, 0.5]) @ rng.standard_normal((4, 4)) * 0.1) + np.diag(
-        [4.0, 3.0, 2.0, 1.0]
-    )
-    grad = omega_subgradient(geom, M)
-    h = 1e-6
-    for _ in range(5):
-        direction = rng.standard_normal((4, 4))
-        direction /= np.linalg.norm(direction)
-        fd = (omega(geom, M + h * direction) - omega(geom, M - h * direction)) / (2 * h)
-        assert fd == pytest.approx(float(np.sum(grad * direction)), rel=1e-5)
-
-
-def test_omega_subgradient_zero_matrix():
-    geom = NuclearBallGeometry(rows=3, cols=3, radius=1.0)
-    assert not omega_subgradient(geom, np.zeros((3, 3))).any()
-
-
 # -------------------------------------------------------------------- prox
 
 
@@ -201,9 +148,8 @@ def test_prox_infinite_radius_short_circuits(rng):
     assert np.allclose(prox_nuc(geom, Z, X), Z - X, atol=1e-15)
 
 
-@pytest.mark.parametrize("dgf", ["quadratic", "power"])
-def test_prox_output_feasible(rng, dgf):
-    geom = NuclearBallGeometry(rows=6, cols=3, radius=1.7, dgf=dgf)
+def test_prox_output_feasible(rng):
+    geom = NuclearBallGeometry(rows=6, cols=3, radius=1.7)
     for _ in range(10):
         Z = rng.standard_normal((6, 3))
         X = rng.standard_normal((6, 3))

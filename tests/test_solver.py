@@ -93,7 +93,6 @@ def test_config_defaults():
     config = SolverConfig()
     assert config.mode == "mirror-prox-backtracking"
     assert math.isinf(config.lambda_)
-    assert config.dgf == "quadratic"
 
 
 def test_algorithms_reject_mismatched_mode():
@@ -157,22 +156,21 @@ def test_splitting_solver_slack_is_exact_ols(problem):
 
 
 def test_quadratic_dgf_beats_power_dgf(problem):
+    """Both mirror methods settle on the zero of the field in a slack ball.
+
+    The mirror-descent bound sits 5x above the 2.0e-4 gap measured with
+    kappa0 = 1e-2.
+    """
     ev, ols, upper, ols_loss_val = problem
     lam = 2.0 * upper
 
-    def gap(mode, dgf, iters, kappa0):
-        config = SolverConfig(mode=mode, lambda_=lam, max_iters=iters, kappa0=kappa0, dgf=dgf)
+    def gap(mode, iters, kappa0):
+        config = SolverConfig(mode=mode, lambda_=lam, max_iters=iters, kappa0=kappa0)
         params, _ = solve(ev, config)
         return ev.loss(params.data) - ols_loss_val
 
-    md_quad = gap("mirror-descent", "quadratic", 800, 1e-2)
-    md_pow = gap("mirror-descent", "power", 800, 1e-2)
-    mp_quad = gap("mirror-prox-backtracking", "quadratic", 256, 1e-6)
-    mp_pow = gap("mirror-prox-backtracking", "power", 256, 1e-6)
-    assert md_quad < md_pow
-    assert mp_quad < mp_pow
-    assert mp_quad <= 1e-6
-    assert mp_pow > 1e-5
+    assert gap("mirror-descent", 800, 1e-2) <= 1e-3
+    assert gap("mirror-prox-backtracking", 256, 1e-6) <= 1e-6
 
 
 # ---------------------------------------------------------------- dispatch
@@ -213,6 +211,15 @@ def test_splitting_solver_validation(problem):
     ev, *_ = problem
     with pytest.raises(ValueError):
         constrained_least_squares([], 1, D, 1.0)
+    with pytest.raises(ValueError):
+        least_squares_unconstrained([], 1, D)
+    for c, d in ((2, D), (1, D + 1)):
+        with pytest.raises(ValueError):
+            constrained_least_squares(ev.slices, c, d, 1.0)
+        with pytest.raises(ValueError):
+            least_squares_unconstrained(ev.slices, c, d)
+    with pytest.raises(ValueError):
+        constrained_least_squares(ev.slices, 1, D, 1.0, max_iters=0)
     with pytest.raises(ValueError):
         constrained_least_squares(ev.slices, 1, D, 0.0)
     with pytest.raises(ValueError):
@@ -299,6 +306,9 @@ def test_splitting_history_columns(problem):
         )
         assert state.t == max_iters
         assert state.termination == "iteration-cap"
+        # the rho that produced the returned Z, not the one rebalanced after it
+        assert state.kappa == state.history[-1].kappa
+        assert state.gamma == state.history[-1].gamma
         assert state.history[-1].loss == pytest.approx(
             ls_loss(params, ev.slices), rel=1e-12, abs=0
         )
