@@ -28,7 +28,7 @@ from lowrank_ar.nuclear import (
     nuclear_norm,
     prox_nuc,
 )
-from lowrank_ar.field import EmpiricalField, FieldSpec, field_norm_surrogate, ls_loss
+from lowrank_ar.field import EmpiricalField, FieldSpec, ls_loss
 from lowrank_ar.solver import (
     SolverConfig,
     SolverError,
@@ -90,7 +90,6 @@ __all__ = [
     "prox_nuc",
     "EmpiricalField",
     "FieldSpec",
-    "field_norm_surrogate",
     "ls_loss",
     "SolverConfig",
     "constrained_least_squares",

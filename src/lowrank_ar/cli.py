@@ -32,6 +32,7 @@ from lowrank_ar.evalkit import (
 )
 from lowrank_ar.field import EmpiricalField, FieldSpec
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
+from lowrank_ar.nuclear import nuclear_norm
 from lowrank_ar.solver import SolverConfig, SolverError, solve, write_history_csv
 from lowrank_ar.synthetic import (
     GenClassSpec,
@@ -382,7 +383,6 @@ def _solver_config(config: dict, lambda_: float) -> SolverConfig:
             lambda_=lambda_,
             max_iters=int(config["iters"]),
             kappa0=float(config["kappa0"]),
-            seed=config["seed"],
             stop_tol=config["stop_tol"],
         )
     except ValueError as exc:
@@ -591,7 +591,7 @@ def _sweep_lambdas(config: dict, solve_fn) -> np.ndarray:
     upper = config["upper"]
     if upper is None:
         unconstrained = solve_fn(math.inf)
-        upper = float(np.sum(np.linalg.svd(unconstrained.data, compute_uv=False)))
+        upper = nuclear_norm(unconstrained.data)
         if upper <= 0:
             raise SolverError("unconstrained solution is zero; sweep bracket is empty")
     lower = config["lower"] if config["lower"] is not None else 1e-2 * upper

@@ -16,7 +16,7 @@ import numpy as np
 
 from lowrank_ar.model import ParameterMatrix
 
-_RANK_MODES = ("relative", "additive")
+_TRUNCATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,31 +38,19 @@ class EmbeddingResult:
         return int(self.coordinates.shape[1])
 
 
-def approx_rank(singular_values, threshold: float = 1e-2, mode: str = "relative") -> int:
-    """Count of singular values within threshold of the principal one.
+def approx_rank(singular_values, threshold: float = 1e-2) -> int:
+    """Count of singular values sigma_i >= threshold * sigma_1.
 
-    relative (default): sigma_i >= threshold * sigma_1.
-    additive: sigma_1 - sigma_i <= threshold.
     Empty input or an all-zero spectrum counts as rank 0.
     """
-    if mode not in _RANK_MODES:
-        raise ValueError(f"mode must be one of {_RANK_MODES}, got {mode!r}")
     s = np.asarray(singular_values, dtype=float).ravel()
     if s.size == 0 or s[0] <= 0:
         return 0
-    if mode == "relative":
-        return int(np.count_nonzero(s >= threshold * s[0]))
-    return int(np.count_nonzero(s[0] - s <= threshold))
+    return int(np.count_nonzero(s >= threshold * s[0]))
 
 
-def factorize(
-    params: ParameterMatrix,
-    truncation_tol: float = 1e-10,
-    ids: list | None = None,
-    rank_threshold: float = 1e-2,
-    rank_mode: str = "relative",
-) -> EmbeddingResult:
-    """Thin SVD of the parameter matrix, keeping sigma_i > truncation_tol * sigma_1.
+def factorize(params: ParameterMatrix, ids: list | None = None) -> EmbeddingResult:
+    """Thin SVD of the parameter matrix, keeping sigma_i > _TRUNCATION_TOL * sigma_1.
 
     A zero matrix produces an empty (r=0) embedding and a warning.
     """
@@ -76,7 +64,7 @@ def factorize(
         warnings.warn("zero parameter matrix yields an empty embedding")
         keep = np.zeros(sigma.shape, dtype=bool)
     else:
-        keep = sigma > truncation_tol * sigma[0]
+        keep = sigma > _TRUNCATION_TOL * sigma[0]
     u = u[:, keep]
     sigma = sigma[keep]
     vt = vt[keep]
@@ -85,7 +73,7 @@ def factorize(
         singular_values=sigma,
         coordinates=sigma[:, None] * vt,
         ids=list(ids),
-        approx_rank=approx_rank(sigma, threshold=rank_threshold, mode=rank_mode),
+        approx_rank=approx_rank(sigma),
     )
 
 

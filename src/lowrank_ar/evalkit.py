@@ -17,6 +17,7 @@ from scipy import optimize
 
 from lowrank_ar.embedding import approx_rank
 from lowrank_ar.model import ParameterMatrix
+from lowrank_ar.nuclear import nuclear_norm
 
 KNN_GRID = (1, 2, 4, 8, 16)
 CV_FOLDS = 5
@@ -368,7 +369,7 @@ def lambda_search(
         return cache[key]
 
     unconstrained = problem.solve(math.inf)
-    upper = float(np.sum(np.linalg.svd(unconstrained.data, compute_uv=False)))
+    upper = nuclear_norm(unconstrained.data)
     if upper <= 0:
         raise ValueError("unconstrained solution is zero; nothing to search")
 

@@ -1,16 +1,14 @@
 """Least-squares loss and the empirical monotone field over a slice set.
 
-With S slices of weight w = 1/N, regressors X (N, S, K) and raw
-observations Y (N, S, C), the loss and field are the slice averages
+With S slices of weight w = 1/N, raw observations Y (N, S, C), the
+measurement operator A = measurement.forward and its adjoint A*,
 
-    ls_loss(B) = (1/S) * sum_t || forward(slice_t, B) - target_t ||^2
-               = (w^2/S) * sum_i || X_i r_i - Y_i ||^2
-    field(B)   = (1/S) * sum_t adjoint(slice_t, w * eta(z_t(B)) - target_t)
-               = (w^2/S) * [(eta(X_i r_i) - Y_i)^T X_i]_i
+    ls_loss(B) = (1/S) * || A(B) - w Y ||^2
+    field(B)   = (1/S) * A*(w * (eta(z) - Y)),   z = A(B) / w,
 
-where r_i holds the rows of R_i, z_t(B) are the unweighted per-sequence
-predictions R_i @ xi_{i,t}, and the link eta acts blockwise on them. Under
-the identity link
+where the link eta acts on each sequence's C channels of z. Both are
+w^2/S times the operator's unweighted products measurement.predictions
+and measurement.correlations. Under the identity link
 
     field = (1/2) * grad ls_loss        (exact identity, asserted in tests).
 
@@ -28,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lowrank_ar.measurement import SliceSet, enumerate_slices, sample_subwindow_slices
+from lowrank_ar.measurement import (
+    SliceSet,
+    check_compatible,
+    correlations,
+    enumerate_slices,
+    predictions,
+    sample_subwindow_slices,
+)
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection, _link_rows
 
 _MODES = ("full-horizon", "stochastic-subwindow")
@@ -61,35 +66,18 @@ class FieldSpec:
                 )
 
 
-def _predictions(data: np.ndarray, slices: SliceSet) -> np.ndarray:
-    """Unweighted predictions X_i r_i for every slice, shape (N, S, C)."""
-    n, _, k = slices.regressors.shape
-    r = data.T.reshape(n, slices.channel_count, k)
-    return slices.regressors @ r.transpose(0, 2, 1)
-
-
 def _scale(slices: SliceSet) -> float:
     return slices.weight**2 / len(slices)
 
 
 def _loss_data(data: np.ndarray, slices: SliceSet) -> float:
-    resid = _predictions(data, slices) - slices.observations
+    resid = predictions(slices, data) - slices.observations
     return float(_scale(slices) * np.vdot(resid, resid))
 
 
 def _field_data(data: np.ndarray, link: LinkFunction, slices: SliceSet) -> np.ndarray:
-    resid = _link_rows(link, _predictions(data, slices)) - slices.observations
-    grad = resid.transpose(0, 2, 1) @ slices.regressors  # (N, C, K)
-    return _scale(slices) * grad.reshape(slices.n_sequences, -1).T
-
-
-def _check_compatible(params: ParameterMatrix, slices: SliceSet) -> None:
-    if (
-        params.channel_count != slices.channel_count
-        or params.order != slices.order
-        or params.n_sequences != slices.n_sequences
-    ):
-        raise ValueError("params incompatible with slices")
+    resid = _link_rows(link, predictions(slices, data)) - slices.observations
+    return _scale(slices) * correlations(slices, resid)
 
 
 # --------------------------------------------------------------------------
@@ -97,20 +85,15 @@ def _check_compatible(params: ParameterMatrix, slices: SliceSet) -> None:
 
 
 def ls_loss(params: ParameterMatrix, slices: SliceSet) -> float:
-    """(1/S) * sum over slices of the squared forward-residual norm."""
-    _check_compatible(params, slices)
+    """(1/S) * || A(B) - w Y ||^2, the mean squared forward residual per slice."""
+    check_compatible(slices, params)
     return _loss_data(params.data, slices)
 
 
 def field(spec: FieldSpec, params: ParameterMatrix, slices: SliceSet) -> np.ndarray:
-    """Empirical field (1/S) * sum_t adjoint(slice_t, residual_t) as an (m, N) array."""
-    _check_compatible(params, slices)
+    """Empirical field (1/S) * A*(w * (eta(z) - Y)) as an (m, N) array."""
+    check_compatible(slices, params)
     return _field_data(params.data, spec.link, slices)
-
-
-def field_norm_surrogate(spec: FieldSpec, params: ParameterMatrix, slices: SliceSet) -> float:
-    """Frobenius norm of the empirical field; a practical convergence monitor."""
-    return float(np.linalg.norm(field(spec, params, slices)))
 
 
 # --------------------------------------------------------------------------

@@ -1,20 +1,21 @@
-"""Measurement operator over time slices, its adjoint, and the slice set.
+"""The measurement operator of a slice set, its adjoint, and slice construction.
 
-A slice fixes one time index t and packages the regressor window of every
-sequence together with the stacked observation vector at t. The forward map
+A SliceSet holds S time slices of N sequences: read-only regressors X of
+shape (N, S, K) with K = C*d+1, built once from strided views of the
+sequences, and the raw observations Y (N, S, C). Row s of X_i is the
+regressor window xi_{i,t} of sequence i at slice s, and r_i (C, K) holds
+the rows of R_i, i.e. column i of the parameter matrix B. The operator maps
+B to the weighted predictions of every slice,
 
-    A_t(B) = w * vec([R_i @ xi_{i,t}]_{i=1..N})
+    forward(B)  = w * [X_i r_i^T]_i            shape (N, S, C)
+    adjoint(Y)  = w * [vec(Y_i^T X_i)]_i       shape (m, N)
 
-is linear in B, and adjoint() is its exact transpose, so the pair satisfies
-<A_t(B), y> = <B, A_t*(y)> for all B, y. The weight w is always 1/N.
+with w = 1/N, and adjoint is its exact transpose: <forward(B), Y> =
+<B, adjoint(Y)> for all B, Y. Both rest on the unweighted products
+predictions() and correlations(), which the field and the loss apply too.
 
-All slices of one design live in a SliceSet: read-only regressors of shape
-(N, S, K) with K = C*d+1, built once from strided views of the sequences,
-and the raw observations (N, S, C). The field, the loss and the
-least-squares solvers read those two arrays directly. Indexing or iterating
-a SliceSet yields MeasurementSlice views, whose target is on the operator
-scale (already multiplied by w) so that forward() output and target compare
-directly.
+Indexing or iterating a SliceSet yields MeasurementSlice views of one
+slice, whose target is on the operator scale (already multiplied by w).
 """
 
 from __future__ import annotations
@@ -29,42 +30,16 @@ from lowrank_ar.model import ParameterMatrix, SequenceCollection
 
 @dataclass(frozen=True)
 class MeasurementSlice:
-    """Regressors and target for one time index.
+    """Read-only view of one slice of a SliceSet.
 
-    regressors: (N, C*d+1) array, row i the window of sequence i (first
-    column all ones). target: stacked observations at t, length C*N and
-    pre-scaled by weight. The operator itself is deterministic; observation
-    noise lives only in how targets were generated.
+    regressors: (N, C*d+1), row i the window of sequence i (first column all
+    ones). target: the observations at this slice stacked per sequence,
+    length C*N and multiplied by weight.
     """
 
     regressors: np.ndarray
     target: np.ndarray
     weight: float
-    channel_count: int
-    order: int
-
-    def __post_init__(self):
-        reg = np.atleast_2d(np.asarray(self.regressors, dtype=float))
-        tgt = np.asarray(self.target, dtype=float).ravel()
-        if self.weight <= 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
-        c, d = self.channel_count, self.order
-        if reg.shape[1] != c * d + 1:
-            raise ValueError(f"regressor width {reg.shape[1]} != C*d+1 = {c * d + 1}")
-        if not np.allclose(reg[:, 0], 1.0):
-            raise ValueError("first regressor column must be all ones")
-        if tgt.shape[0] != c * reg.shape[0]:
-            raise ValueError(f"target length {tgt.shape[0]} != C*N = {c * reg.shape[0]}")
-        reg = reg.copy()
-        tgt = tgt.copy()
-        reg.flags.writeable = False
-        tgt.flags.writeable = False
-        object.__setattr__(self, "regressors", reg)
-        object.__setattr__(self, "target", tgt)
-
-    @property
-    def n_sequences(self) -> int:
-        return self.regressors.shape[0]
 
 
 def _read_only(arr) -> np.ndarray:
@@ -119,61 +94,55 @@ class SliceSet:
     def __getitem__(self, s: int) -> MeasurementSlice:
         return MeasurementSlice(
             regressors=self.regressors[:, s],
-            target=self.weight * self.observations[:, s].reshape(-1),
+            target=_read_only(self.weight * self.observations[:, s].reshape(-1)),
             weight=self.weight,
-            channel_count=self.channel_count,
-            order=self.order,
         )
 
     def __iter__(self):
         return (self[s] for s in range(len(self)))
 
 
-def _check_params(slice_: MeasurementSlice, params: ParameterMatrix) -> None:
-    if params.channel_count != slice_.channel_count or params.order != slice_.order:
-        raise ValueError(
-            f"shape mismatch: slice (C={slice_.channel_count}, d={slice_.order}) vs "
-            f"params (C={params.channel_count}, d={params.order})"
-        )
-    if params.n_sequences != slice_.n_sequences:
-        raise ValueError(
-            f"sequence-count mismatch: slice N={slice_.n_sequences}, "
-            f"params N={params.n_sequences}"
-        )
+# --------------------------------------------------------------------------
+# the operator
 
 
-def raw_predictions(slice_: MeasurementSlice, data: np.ndarray, channel_count: int) -> np.ndarray:
-    """Unweighted per-sequence predictions R_i @ xi_i as an (N, C) array."""
-    n, k = slice_.regressors.shape
-    r = data.T.reshape(n, channel_count, k)
-    return np.einsum("nck,nk->nc", r, slice_.regressors)
+def check_compatible(slices: SliceSet, params: ParameterMatrix) -> None:
+    """Raise ValueError unless params has the set's C, d and N."""
+    have = (params.channel_count, params.order, params.n_sequences)
+    want = (slices.channel_count, slices.order, slices.n_sequences)
+    if have != want:
+        raise ValueError(f"params (C, d, N) = {have} do not match slices {want}")
 
 
-def forward(slice_: MeasurementSlice, params: ParameterMatrix) -> np.ndarray:
-    """weight * vec([R_i @ xi_i]_i), length C*N."""
-    _check_params(slice_, params)
-    z = raw_predictions(slice_, params.data, params.channel_count)
-    return slice_.weight * z.reshape(-1)
+def predictions(slices: SliceSet, data: np.ndarray) -> np.ndarray:
+    """Unweighted predictions X_i r_i^T of every slice, shape (N, S, C)."""
+    n, _, k = slices.regressors.shape
+    r = data.T.reshape(n, slices.channel_count, k)
+    return slices.regressors @ r.transpose(0, 2, 1)
 
 
-def adjoint_data(slice_: MeasurementSlice, y: np.ndarray, channel_count: int) -> np.ndarray:
-    """Adjoint applied to a stacked vector, returned as a raw (m, N) array."""
-    yv = np.asarray(y, dtype=float).ravel()
-    n = slice_.n_sequences
-    if yv.shape[0] != channel_count * n:
-        raise ValueError(f"y length {yv.shape[0]} != C*N = {channel_count * n}")
-    blocks = yv.reshape(n, channel_count)
-    outer = np.einsum("nc,nk->nck", blocks, slice_.regressors)
-    return slice_.weight * outer.reshape(n, -1).T
+def correlations(slices: SliceSet, y: np.ndarray) -> np.ndarray:
+    """Unweighted [vec(Y_i^T X_i)]_i as an (m, N) array, for Y of shape (N, S, C).
 
-
-def adjoint(slice_: MeasurementSlice, y) -> np.ndarray:
-    """Transpose of forward: column i is weight * vec(y_i @ xi_i^T).
-
-    Entry (c, k) of the outer product lands in the row of vec(R_i) holding
-    R_i[c, k], matching the row-major vectorization of ParameterMatrix.
+    Entry (c, k) of Y_i^T X_i lands in the row of vec(R_i) holding R_i[c, k],
+    matching the row-major vectorization of ParameterMatrix.
     """
-    return adjoint_data(slice_, y, slice_.channel_count)
+    prod = y.transpose(0, 2, 1) @ slices.regressors  # (N, C, K)
+    return prod.reshape(slices.n_sequences, -1).T
+
+
+def forward(slices: SliceSet, params: ParameterMatrix) -> np.ndarray:
+    """w * [X_i r_i^T]_i, shape (N, S, C)."""
+    check_compatible(slices, params)
+    return slices.weight * predictions(slices, params.data)
+
+
+def adjoint(slices: SliceSet, y) -> np.ndarray:
+    """Transpose of forward: w * [vec(Y_i^T X_i)]_i, shape (m, N)."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != slices.observations.shape:
+        raise ValueError(f"y has shape {y.shape}, expected {slices.observations.shape}")
+    return slices.weight * correlations(slices, y)
 
 
 # --------------------------------------------------------------------------

@@ -20,8 +20,7 @@ data where a single step size has to serve sequences of wildly different
 magnitudes. Its history loss is read from the cached per-sequence Gram
 matrices, so an iteration's cost does not grow with the number of slices S.
 
-kappa is never reset downward between iterations; for noisy stochastic
-fields an optional decay factor (off by default) relaxes that. Start kappa0
+kappa is never reset downward between iterations. Start kappa0
 low (the default is 1e-6): backtracking only raises it, and the first
 iteration calibrates it to the data scale in a few doublings.
 
@@ -41,10 +40,11 @@ import numpy as np
 from lowrank_ar.field import EmpiricalField
 from lowrank_ar.measurement import SliceSet
 from lowrank_ar.model import ParameterMatrix
-from lowrank_ar.nuclear import NuclearBallGeometry, capped_simplex_project, prox_nuc
+from lowrank_ar.nuclear import NuclearBallGeometry, capped_simplex_project, nuclear_norm, prox_nuc
 
 _MODES = ("mirror-descent", "mirror-prox-backtracking", "admm-ls")
 _ADMM_TOL = 1e-10  # relative primal and dual residual at which the splitting stops
+_MAX_BACKTRACKS = 60  # kappa doublings per mirror-prox iteration before giving up
 
 
 class SolverError(RuntimeError):
@@ -57,10 +57,7 @@ class SolverConfig:
     lambda_: float = math.inf
     max_iters: int = 256
     kappa0: float = 1e-6
-    seed: int | None = None
     stop_tol: float | None = None
-    kappa_decay: float = 1.0
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -71,10 +68,6 @@ class SolverConfig:
             raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
         if not self.lambda_ > 0:
             raise ValueError(f"lambda_ must be positive, got {self.lambda_}")
-        if not 0 < self.kappa_decay <= 1:
-            raise ValueError(f"kappa_decay must be in (0, 1], got {self.kappa_decay}")
-        if self.max_backtracks < 1:
-            raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
 
 
 @dataclass
@@ -167,27 +160,25 @@ def mirror_prox_backtracking(field_fn, geom: NuclearBallGeometry, config: Solver
     history: list[HistoryRecord] = []
     termination = "iteration-cap"
     for t in range(1, config.max_iters + 1):
-        kappa_hat = max(config.kappa0, kappa * config.kappa_decay)
         psi_r = _finite_or_raise(np.asarray(field_fn(r)), "field")
         alpha = 2.0 / (t + 1)
         backtracks = 0
         while True:
-            gamma = 1.0 / (2.0 * kappa_hat)
+            gamma = 1.0 / (2.0 * kappa)
             b_next = _finite_or_raise(prox_nuc(geom, r, gamma * psi_r), "prox step")
             psi_b = _finite_or_raise(np.asarray(field_fn(b_next)), "field")
             lhs = float(np.linalg.norm(psi_b - psi_r))
-            rhs = kappa_hat * float(np.linalg.norm(b_next - r))
+            rhs = kappa * float(np.linalg.norm(b_next - r))
             if lhs > rhs:
-                kappa_hat *= 2.0
+                kappa *= 2.0
                 backtracks += 1
-                if backtracks > config.max_backtracks:
+                if backtracks > _MAX_BACKTRACKS:
                     raise SolverError(
-                        f"backtracking exceeded {config.max_backtracks} doublings; "
+                        f"backtracking exceeded {_MAX_BACKTRACKS} doublings; "
                         "the field is not Lipschitz at this scale or is broken"
                     )
                 continue
             break
-        kappa = kappa_hat
         r = _finite_or_raise(prox_nuc(geom, r, gamma * psi_b), "prox step")
         aggregate = (1.0 - alpha) * aggregate + alpha * b_next
         field_norm = float(np.linalg.norm(psi_b))
@@ -299,8 +290,7 @@ def constrained_least_squares(
     scale = slices.weight**2 / len(slices)  # ls_loss(B) = scale * sum_i ||X_i b_i - y_i||^2
 
     unconstrained = least_squares_unconstrained(slices, c, order)
-    sigma_unc = np.linalg.svd(unconstrained.data, compute_uv=False)
-    if math.isinf(radius) or float(sigma_unc.sum()) <= radius:
+    if math.isinf(radius) or nuclear_norm(unconstrained.data) <= radius:
         # constraint slack at the unconstrained optimum: nothing to do
         state = SolverState(
             iterate=unconstrained.data, candidate=unconstrained.data,

@@ -1,11 +1,12 @@
-"""Parameter recovery on one synthetic benchmark, as the desk study runs it.
+"""Parameter recovery on one synthetic benchmark, as the studies run it.
 
 Sequences are z-normalized before fitting (the lag structure is scale
-invariant and the intercept absorbs the centering). The run fits the
+invariant and the intercept absorbs the centering). recovery_run fits the
 unconstrained per-sequence least-squares baseline, Brent-searches the
 nuclear radius that minimizes reconstruction error against the generating
 coefficients with the exact constrained solver, embeds the best fit and
-clusters it with k-means.
+clusters it with k-means. radius_sweep scores the exact constrained fit on
+a geometric grid of radii instead and embeds the best one.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lowrank_ar.embedding import approx_rank, factorize
+from lowrank_ar.embedding import approx_rank, factorize, pca_project
 from lowrank_ar.evalkit import LambdaProblem, ari, kmeans, lambda_search, reconstruction_error
-from lowrank_ar.field import EmpiricalField, FieldSpec
-from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
+from lowrank_ar.measurement import enumerate_slices
+from lowrank_ar.model import ParameterMatrix, SequenceCollection
+from lowrank_ar.nuclear import nuclear_norm
 from lowrank_ar.solver import constrained_least_squares, least_squares_unconstrained
 
 
@@ -49,9 +51,7 @@ def recovery_run(collection: SequenceCollection, truth: ParameterMatrix) -> Reco
     The AR order is the truth's, and k-means looks for one cluster per label.
     """
     d = truth.order
-    slices = EmpiricalField(
-        znorm(collection), FieldSpec(link=LinkFunction("identity"), order=d)
-    ).slices
+    slices = enumerate_slices(znorm(collection), d)
     truth_lag = truth.data[1:]
 
     ols = least_squares_unconstrained(slices, 1, d)
@@ -75,3 +75,39 @@ def recovery_run(collection: SequenceCollection, truth: ParameterMatrix) -> Reco
         rank_unconstrained=approx_rank(np.linalg.svd(ols.data, compute_uv=False)),
         rank_best=approx_rank(np.linalg.svd(best.data, compute_uv=False)),
     )
+
+
+@dataclass(frozen=True)
+class RadiusSweep:
+    """Error and approximate rank of the constrained fit at each radius.
+
+    best indexes the smallest error; explained holds the top-2
+    explained-variance ratios of the best fit's embedding.
+    """
+
+    lambdas: np.ndarray
+    errors: np.ndarray
+    ranks: list
+    best: int
+    explained: np.ndarray
+
+
+def radius_sweep(
+    collection: SequenceCollection, truth: ParameterMatrix, lo: float, hi: float, points: int
+) -> RadiusSweep:
+    """Exact constrained fits at geomspace(lo * upper, hi * upper, points).
+
+    upper is the nuclear norm of the unconstrained least-squares fit, the
+    error is taken against the truth's lag rows and the AR order is the
+    truth's.
+    """
+    d = truth.order
+    slices = enumerate_slices(znorm(collection), d)
+    upper = nuclear_norm(least_squares_unconstrained(slices, 1, d).data)
+    lambdas = np.geomspace(lo * upper, hi * upper, points)
+    fits = [constrained_least_squares(slices, 1, d, float(lam))[0] for lam in lambdas]
+    errors = np.array([reconstruction_error(truth.data[1:], p.data[1:]) for p in fits])
+    best = int(np.argmin(errors))
+    _, explained = pca_project(factorize(fits[best]).coordinates, 2)
+    ranks = [approx_rank(np.linalg.svd(p.data, compute_uv=False)) for p in fits]
+    return RadiusSweep(lambdas, errors, ranks, best, explained)

@@ -21,25 +21,22 @@ from scipy.optimize import brentq
 from conftest import make_collection, make_evaluator
 from lowrank_ar import cli
 from lowrank_ar.dataio import read_json, write_json
-from lowrank_ar.embedding import factorize, pca_project
 from lowrank_ar.encoders import (
     build_huffman,
     decode_symbols,
     encode_nucleotides,
     encode_text,
 )
-from lowrank_ar.evalkit import reconstruction_error
 from lowrank_ar.field import EmpiricalField, FieldSpec, ls_loss
 from lowrank_ar.measurement import adjoint, enumerate_slices, forward
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
 from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm
 from lowrank_ar.solver import (
     SolverConfig,
-    constrained_least_squares,
     least_squares_unconstrained,
     solve,
 )
-from lowrank_ar.study import recovery_run, znorm
+from lowrank_ar.study import radius_sweep, recovery_run
 from lowrank_ar.synthetic import GenClassSpec, gen_benchmark, standard_class_specs
 
 
@@ -100,13 +97,12 @@ def test_criterion_02_adjoint_identity(report):
                 coll = make_collection(gen, n=n, c=c, t_len=d + 6)
                 slices = enumerate_slices(coll, d)
                 for _ in range(4):
-                    sl = slices[int(gen.integers(0, len(slices)))]
                     params = ParameterMatrix(
                         gen.standard_normal((c * c * d + c, n)), c, d
                     )
-                    y = gen.standard_normal(c * n)
-                    lhs = float(forward(sl, params) @ y)
-                    rhs = float(np.vdot(params.data, adjoint(sl, y)))
+                    y = gen.standard_normal((n, len(slices), c))
+                    lhs = float(np.vdot(forward(slices, params), y))
+                    rhs = float(np.vdot(params.data, adjoint(slices, y)))
                     worst = max(worst, abs(lhs - rhs))
                     count += 1
     dt = time.perf_counter() - t0
@@ -257,29 +253,11 @@ def test_criterion_08_sweep_curve(report):
     pool = standard_class_specs(d=15, n_per_class=60, t_len=250, noise_var=0.02)
     gen = np.random.default_rng(1)
     coll, truth = gen_benchmark([pool[i] for i in (1, 2, 4)], gen)
-    ev = EmpiricalField(znorm(coll), FieldSpec(link=LinkFunction("identity"), order=15))
-    slices = ev.slices
-    truth_lag = truth.data[1:]
-
-    ols = least_squares_unconstrained(slices, 1, 15)
-    upper = nuclear_norm(ols.data)
-    lams = np.geomspace(0.30 * upper, 0.78 * upper, 20)
-    errs = np.array(
-        [
-            reconstruction_error(
-                truth_lag, constrained_least_squares(slices, 1, 15, float(lam))[0].data[1:]
-            )
-            for lam in lams
-        ]
-    )
-    best_i = int(np.argmin(errs))
-    interior = 0 < best_i < lams.size - 1
+    sweep = radius_sweep(coll, truth, 0.30, 0.78, 20)
+    errs, best_i = sweep.errors, sweep.best
+    interior = 0 < best_i < errs.size - 1
     below = errs[best_i] < errs[0] and errs[best_i] < errs[-1]
-
-    params, _ = constrained_least_squares(slices, 1, 15, float(lams[best_i]))
-    emb = factorize(params, ids=list(coll.ids))
-    _, ratios = pca_project(emb.coordinates, 2)
-    ev2 = float(ratios.sum())
+    ev2 = float(sweep.explained.sum())
     dt = time.perf_counter() - t0
     report(
         "08", interior and below and 0.75 <= ev2 <= 0.95,

@@ -72,7 +72,7 @@ def test_factorize_truncation(rng):
     noisy = ParameterMatrix(
         base.data + 1e-14 * rng.standard_normal(base.data.shape), 1, 5
     )
-    emb = factorize(noisy, truncation_tol=1e-10)
+    emb = factorize(noisy)
     assert emb.r == 2
 
 
@@ -81,18 +81,14 @@ def test_factorize_truncation(rng):
 
 def test_approx_rank_modes():
     s = np.array([10.0, 5.0, 0.05, 0.0])
-    assert approx_rank(s, threshold=1e-2, mode="relative") == 2
-    assert approx_rank(s, threshold=0.5, mode="relative") == 2
-    assert approx_rank(s, threshold=1e-3, mode="relative") == 3
-    assert approx_rank(s, threshold=5.0, mode="additive") == 2
-    assert approx_rank(s, threshold=10.0, mode="additive") == 4
+    assert approx_rank(s, threshold=1e-2) == 2
+    assert approx_rank(s, threshold=0.5) == 2
+    assert approx_rank(s, threshold=1e-3) == 3
 
 
 def test_approx_rank_edge_cases():
     assert approx_rank(np.array([])) == 0
     assert approx_rank(np.zeros(3)) == 0
-    with pytest.raises(ValueError):
-        approx_rank(np.array([1.0]), mode="fractional")
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,8 +5,8 @@ import types
 import numpy as np
 import pytest
 
-from lowrank_ar.field import EmpiricalField, FieldSpec, field, field_norm_surrogate, ls_loss
-from lowrank_ar.measurement import SliceSet, adjoint, raw_predictions
+from lowrank_ar.field import EmpiricalField, FieldSpec, field, ls_loss
+from lowrank_ar.measurement import SliceSet
 from lowrank_ar.model import (
     LinkFunction,
     ParameterMatrix,
@@ -21,13 +21,15 @@ LINKS = ["identity", "softmax", "exponential", "logistic"]
 
 
 def field_oracle(link, params, slices):
-    """Slice-by-slice adjoint accumulation, no batching."""
+    """(1/S) sum_t w * outer(w eta(R_i xi) - target, xi), one slice and sequence at a time."""
     c = params.channel_count
     total = np.zeros_like(params.data)
     for sl in slices:
-        z = raw_predictions(sl, params.data, c).reshape(-1)
-        resid = sl.weight * apply_link(link, z, block_size=c) - sl.target
-        total += adjoint(sl, resid)
+        for i in range(params.n_sequences):
+            xi = sl.regressors[i]
+            eta = apply_link(link, params.weights_for(i) @ xi, block_size=c)
+            resid = sl.weight * eta - sl.target[i * c : (i + 1) * c]
+            total[:, i] += sl.weight * np.outer(resid, xi).reshape(-1)
     return total / len(slices)
 
 
@@ -91,8 +93,9 @@ def test_ls_loss_matches_loop(rng):
     params = random_params_for(ev, rng)
     expected = 0.0
     for sl in ev.slices:
-        z = raw_predictions(sl, params.data, 2).reshape(-1)
-        expected += float(np.sum((sl.weight * z - sl.target) ** 2))
+        for i in range(params.n_sequences):
+            z = params.weights_for(i) @ sl.regressors[i]
+            expected += float(np.sum((sl.weight * z - sl.target[2 * i : 2 * i + 2]) ** 2))
     expected /= len(ev.slices)
     assert ls_loss(params, ev.slices) == pytest.approx(expected, rel=1e-12)
     assert ev.loss(params.data) == pytest.approx(expected, rel=1e-12)
@@ -142,20 +145,13 @@ def test_field_is_monotone(rng, variant):
         assert float(np.sum(gap * (x.data - y.data))) >= -1e-10
 
 
-def test_field_norm_surrogate(rng):
-    ev = make_evaluator(rng, n=2, c=1, t_len=12, d=2)
-    params = random_params_for(ev, rng)
-    spec = ev.spec
-    assert field_norm_surrogate(spec, params, ev.slices) == pytest.approx(
-        float(np.linalg.norm(ev.field(params.data))), rel=1e-14
-    )
-
-
 def test_field_incompatible_params(rng):
     ev = make_evaluator(rng, n=3, c=1, t_len=12, d=2)
     wrong = ParameterMatrix(np.zeros((3, 2)), channel_count=1, order=2)
     with pytest.raises(ValueError):
         field(ev.spec, wrong, ev.slices)
+    with pytest.raises(ValueError):
+        ls_loss(wrong, ev.slices)
 
 
 # ---------------------------------------------------------------- slice order

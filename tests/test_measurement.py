@@ -1,15 +1,13 @@
-"""Slice operator, adjoint, and slice construction."""
+"""Measurement operator on a slice set, its adjoint, and slice construction."""
 
 import numpy as np
 import pytest
 
 from lowrank_ar.measurement import (
-    MeasurementSlice,
     SliceSet,
     adjoint,
     enumerate_slices,
     forward,
-    raw_predictions,
     sample_subwindow_slices,
 )
 from lowrank_ar.model import ParameterMatrix, SequenceCollection, build_regressor
@@ -17,13 +15,10 @@ from lowrank_ar.model import ParameterMatrix, SequenceCollection, build_regresso
 from conftest import make_collection
 
 
-def random_slice(rng, n=4, c=2, d=3, weight=0.25):
-    regs = np.hstack([np.ones((n, 1)), rng.standard_normal((n, c * d))])
-    obs = rng.standard_normal((n, c))
-    return MeasurementSlice(
-        regressors=regs, target=weight * obs.reshape(-1), weight=weight,
-        channel_count=c, order=d,
-    )
+def random_slice_set(rng, n=4, c=2, d=3, s=5):
+    """Random regressors (first column all ones) and observations."""
+    regs = np.concatenate([np.ones((n, s, 1)), rng.standard_normal((n, s, c * d))], axis=2)
+    return SliceSet(regs, rng.standard_normal((n, s, c)), d)
 
 
 def random_params(rng, n=4, c=2, d=3):
@@ -35,69 +30,63 @@ def random_params(rng, n=4, c=2, d=3):
 # ---------------------------------------------------------------- validation
 
 
-def test_slice_validation_errors(rng):
-    n, c, d = 3, 2, 2
-    regs = np.hstack([np.ones((n, 1)), rng.standard_normal((n, c * d))])
-    tgt = rng.standard_normal(c * n)
-    with pytest.raises(ValueError):
-        MeasurementSlice(regs, tgt, weight=0.0, channel_count=c, order=d)
-    with pytest.raises(ValueError):
-        MeasurementSlice(regs[:, :-1], tgt, weight=1.0, channel_count=c, order=d)
-    with pytest.raises(ValueError):
-        MeasurementSlice(regs, tgt[:-1], weight=1.0, channel_count=c, order=d)
-    bad = regs.copy()
-    bad[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        MeasurementSlice(bad, tgt, weight=1.0, channel_count=c, order=d)
-
-
 def test_forward_checks_compatibility(rng):
-    sl = random_slice(rng, n=3, c=2, d=3)
+    slices = random_slice_set(rng, n=3, c=2, d=3)
     with pytest.raises(ValueError):
-        forward(sl, random_params(rng, n=3, c=1, d=3))
+        forward(slices, random_params(rng, n=3, c=1, d=3))
     with pytest.raises(ValueError):
-        forward(sl, random_params(rng, n=4, c=2, d=3))
+        forward(slices, random_params(rng, n=3, c=2, d=2))
+    with pytest.raises(ValueError):
+        forward(slices, random_params(rng, n=4, c=2, d=3))
+
+
+def test_adjoint_checks_shape(rng):
+    slices = random_slice_set(rng, n=3, c=2, d=3, s=5)
+    with pytest.raises(ValueError):
+        adjoint(slices, rng.standard_normal((3, 4, 2)))
+    with pytest.raises(ValueError):
+        adjoint(slices, rng.standard_normal(3 * 5 * 2))
 
 
 # ---------------------------------------------------------------- operator
 
 
 def test_forward_matches_per_sequence_loop(rng):
-    n, c, d = 4, 2, 3
-    sl = random_slice(rng, n=n, c=c, d=d)
+    n, c, d, s = 4, 2, 3, 5
+    slices = random_slice_set(rng, n=n, c=c, d=d, s=s)
     params = random_params(rng, n=n, c=c, d=d)
-    out = forward(sl, params)
+    out = forward(slices, params)
+    assert out.shape == (n, s, c)
     for i in range(n):
-        expected = sl.weight * params.weights_for(i) @ sl.regressors[i]
-        assert np.allclose(out[i * c : (i + 1) * c], expected)
+        for t in range(s):
+            expected = slices.weight * params.weights_for(i) @ slices.regressors[i, t]
+            assert np.allclose(out[i, t], expected)
 
 
 def test_adjoint_matches_outer_product_loop(rng):
-    n, c, d = 3, 2, 2
-    sl = random_slice(rng, n=n, c=c, d=d)
-    y = rng.standard_normal(c * n)
-    out = adjoint(sl, y)
+    n, c, d, s = 3, 2, 2, 4
+    slices = random_slice_set(rng, n=n, c=c, d=d, s=s)
+    y = rng.standard_normal((n, s, c))
+    out = adjoint(slices, y)
+    assert out.shape == (c * c * d + c, n)
     for i in range(n):
-        expected = sl.weight * np.outer(y[i * c : (i + 1) * c], sl.regressors[i])
-        assert np.allclose(out[:, i], expected.reshape(-1))
+        expected = np.zeros((c, c * d + 1))
+        for t in range(s):
+            expected += slices.weight * np.outer(y[i, t], slices.regressors[i, t])
+        # column i is laid out like R_i in ParameterMatrix
+        col = ParameterMatrix(out, channel_count=c, order=d).weights_for(i)
+        assert np.allclose(col, expected)
 
 
 @pytest.mark.parametrize("c,d,n", [(1, 1, 1), (1, 5, 3), (2, 3, 4), (4, 2, 2)])
 def test_adjoint_identity(rng, c, d, n):
-    sl = random_slice(rng, n=n, c=c, d=d, weight=1.0 / n)
+    slices = random_slice_set(rng, n=n, c=c, d=d, s=6)
     params = random_params(rng, n=n, c=c, d=d)
-    y = rng.standard_normal(c * n)
-    lhs = float(forward(sl, params) @ y)
-    rhs = float(np.sum(params.data * adjoint(sl, y)))
+    y = rng.standard_normal((n, 6, c))
+    lhs = float(np.vdot(forward(slices, params), y))
+    rhs = float(np.vdot(params.data, adjoint(slices, y)))
     scale = np.linalg.norm(params.data) * np.linalg.norm(y)
     assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
-
-
-def test_raw_predictions_consistent_with_forward(rng):
-    sl = random_slice(rng)
-    params = random_params(rng)
-    z = raw_predictions(sl, params.data, params.channel_count)
-    assert np.allclose(sl.weight * z.reshape(-1), forward(sl, params))
 
 
 # ---------------------------------------------------------------- slice sets
@@ -126,6 +115,7 @@ def test_slice_set_is_read_only_and_matches_its_views(rng):
     assert slices.observations.shape == (3, 8, 2)
     assert not slices.regressors.flags.writeable
     assert not slices.observations.flags.writeable
+    assert not slices[0].target.flags.writeable
     views = list(slices)
     assert len(views) == len(slices) == 8
     for s, sl in enumerate(views):

@@ -43,7 +43,7 @@ def fista_oracle(slices, order, radius, iters=4000):
     Scalar sequences only. The projection reuses the root-finding oracle,
     so no package projection code is on this path.
     """
-    n = slices[0].n_sequences
+    n = slices.n_sequences
     s_count = len(slices)
     w = slices[0].weight
     design = np.stack([s.regressors for s in slices], axis=1)  # (N, S, K)
@@ -79,9 +79,9 @@ def fista_oracle(slices, order, radius, iters=4000):
         {"kappa0": 0.0},
         {"lambda_": 0.0},
         {"lambda_": -1.0},
-        {"kappa_decay": 0.0},
-        {"kappa_decay": 1.5},
-        {"max_backtracks": 0},
+        {"lambda_": math.nan},
+        {"kappa0": math.nan},
+        {"lambda_": -math.inf},
     ],
 )
 def test_config_validation(kwargs):
@@ -246,9 +246,11 @@ def test_backtracking_overflow_raises():
         calls[0] += 1
         return ((-10.0) ** calls[0]) * np.ones_like(x)
 
-    config = SolverConfig(max_iters=4, max_backtracks=5)
-    with pytest.raises(SolverError, match="backtracking"):
+    config = SolverConfig(max_iters=4)
+    with pytest.raises(SolverError, match="exceeded 60 doublings"):
         mirror_prox_backtracking(spiky_field, geom, config)
+    # the field at R_0, then one candidate per kappa from kappa0 to 2^60 kappa0
+    assert calls[0] == 62
 
 
 def test_kappa_never_decreases(problem):
