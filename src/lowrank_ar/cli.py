@@ -461,6 +461,20 @@ def _search_objectives(collection, truth, config) -> dict:
     return objectives
 
 
+def _write_search_csv(result, states: dict, path: Path) -> None:
+    """One row per radius the search scored, in order, with how its solve ended.
+
+    iterations and termination stay empty for a radius that needed no solve
+    (bisect's lambda = 0, the zero matrix).
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("lambda,score,iterations,termination\n")
+        for lam, score in zip(result.lambdas_tried, result.scores):
+            state = states.get(_LAMBDA_FMT % lam)
+            solved = ["", ""] if state is None else [str(state.t), state.termination]
+            fh.write(",".join([_LAMBDA_FMT % lam, _LAMBDA_FMT % score, *solved]) + "\n")
+
+
 def cmd_embed(config: dict) -> int:
     collection, roles = _ingest(config)
     config["link"] = _resolve_link(config, collection)
@@ -486,6 +500,7 @@ def cmd_embed(config: dict) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         params, lam = result.best_params, result.best_lambda
+        _write_search_csv(result, states, out / "search.csv")
     else:
         lam = _parse_lambda(config["lambda"])
         params = solve_fn(lam)

@@ -16,11 +16,25 @@ predictions() and correlations(), which the field and the loss apply too.
 
 Indexing or iterating a SliceSet yields MeasurementSlice views of one
 slice, whose target is on the operator scale (already multiplied by w).
+
+A SliceSet also caches what every least-squares fit on it shares, built on
+first use only, so building a set (or drawing a stochastic window set) pays
+nothing for it, and read-only afterwards:
+
+* normal_equations: the per-sequence Grams G_i = X_i^T X_i (N, K, K), the
+  cross-moments H_i = Y_i^T X_i (N, C, K), sum_i ||Y_i||^2, and the
+  eigendecomposition of every G_i;
+* ols: the per-sequence ordinary least-squares fit, one lstsq per
+  sequence, as an (m, N) array in the layout of ParameterMatrix.
+
+A radius search or sweep over one set therefore factors its normal
+equations and fits OLS once, however many radii it solves at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,6 +60,21 @@ def _read_only(arr) -> np.ndarray:
     view = np.asarray(arr, dtype=float).view()
     view.flags.writeable = False
     return view
+
+
+@dataclass(frozen=True)
+class NormalEquations:
+    """Per-sequence normal equations of a slice set; every array read-only.
+
+    gram (N, K, K) holds X_i^T X_i, xty (N, C, K) holds Y_i^T X_i, yty is
+    sum_i ||Y_i||^2, and evals (N, K) / evecs (N, K, K) are eigh(gram).
+    """
+
+    gram: np.ndarray
+    xty: np.ndarray
+    yty: float
+    evals: np.ndarray
+    evecs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,6 +129,29 @@ class SliceSet:
 
     def __iter__(self):
         return (self[s] for s in range(len(self)))
+
+    @cached_property
+    def normal_equations(self) -> NormalEquations:
+        """G_i, H_i, sum ||Y_i||^2 and eigh(G_i), computed on first access."""
+        design, targets = self.regressors, self.observations
+        gram = np.einsum("nsk,nsl->nkl", design, design)
+        evals, evecs = np.linalg.eigh(gram)
+        return NormalEquations(
+            gram=_read_only(gram),
+            xty=_read_only(np.einsum("nsk,nsc->nck", design, targets)),
+            yty=float(np.sum(targets * targets)),
+            evals=_read_only(evals),
+            evecs=_read_only(evecs),
+        )
+
+    @cached_property
+    def ols(self) -> np.ndarray:
+        """Per-sequence lstsq fit as an (m, N) array, computed on first access."""
+        cols = []
+        for design, targets in zip(self.regressors, self.observations):
+            coef, *_ = np.linalg.lstsq(design, targets, rcond=None)  # (K, C)
+            cols.append(coef.T.reshape(-1))
+        return _read_only(np.column_stack(cols))
 
 
 # --------------------------------------------------------------------------

@@ -69,6 +69,9 @@ def capped_simplex_project(sigma, radius: float) -> np.ndarray:
     j = np.arange(1, s.size + 1)
     theta_candidates = (csum - radius) / j
     valid = srt > theta_candidates
+    # the first breakpoint is valid in exact arithmetic (radius > 0), but when
+    # sigma_max dwarfs the radius, sigma_max - radius rounds back to sigma_max
+    valid[0] = True
     j_star = int(np.nonzero(valid)[0][-1])
     theta = theta_candidates[j_star]
     return np.maximum(s - theta, 0.0)

@@ -17,7 +17,11 @@ A third mode, constrained_least_squares, handles the identity link only: it
 splits the quadratic loss from the ball constraint and alternates exact
 minimization with exact projection, which stays accurate on badly scaled
 data where a single step size has to serve sequences of wildly different
-magnitudes. Its history loss is read from the cached per-sequence Gram
+magnitudes. It factors the per-sequence normal equations and fits OLS once
+per slice set (SliceSet.normal_equations and SliceSet.ols), so every solve
+of a radius search or sweep after the first reuses them, and it iterates in
+the (N, m) layout, one row per sequence, with batched matrix products and
+one thin SVD per iteration; its history loss is read from the cached Gram
 matrices, so an iteration's cost does not grow with the number of slices S.
 
 kappa is never reset downward between iterations. Start kappa0
@@ -244,14 +248,11 @@ def least_squares_unconstrained(
     """Exact minimizer of ls_loss under the identity link, fit per sequence.
 
     The loss separates across sequences, so each column is an independent
-    ordinary least-squares solve on that sequence's regressor rows.
+    ordinary least-squares solve on that sequence's regressor rows. The set
+    fits once (SliceSet.ols); every call returns a fresh copy of that fit.
     """
     _check_slices(slices, channel_count, order)
-    cols = []
-    for design, targets in zip(slices.regressors, slices.observations):
-        coef, *_ = np.linalg.lstsq(design, targets, rcond=None)  # (K, C)
-        cols.append(coef.T.reshape(-1))
-    return ParameterMatrix(np.column_stack(cols), channel_count, order)
+    return ParameterMatrix(slices.ols, channel_count, order)
 
 
 def constrained_least_squares(
@@ -265,16 +266,20 @@ def constrained_least_squares(
 
     Splitting scheme: the quadratic term is minimized per sequence against a
     copy Z that is projected onto the ball, with a scaled dual U tying the two
-    together. Each sequence's normal matrix G_i = X_i^T X_i is
-    eigendecomposed once, so the per-iteration cost is a few batched matrix
-    products plus one thin SVD, and the penalty weight rho can be rebalanced
-    for free. The history's loss of Z is read from the same cached Gram
-    matrices, b_i^T G_i b_i - 2 h_i^T b_i + y_i^T y_i per sequence, so no
-    step of an iteration grows with the number of slices S. Deterministic;
-    no randomness anywhere. Returns (ParameterMatrix, SolverState); the
-    history logs the loss of Z, the primal residual in the field_norm
-    column, and rho in the kappa column. The state's termination is
-    "slack", "converged" or "iteration-cap".
+    together. The normal equations are factored once per slice set
+    (SliceSet.normal_equations: G_i = X_i^T X_i, H_i = Y_i^T X_i and the
+    eigendecomposition G_i = V_i diag(e_i) V_i^T), so a radius search or
+    sweep on one set pays for them once, and the penalty weight rho can be
+    rebalanced for free. The iteration runs in the (N, m) layout, one row
+    per sequence: the ridge step is two batched products against V_i, the
+    projection one thin SVD of the (N, m) matrix, and the history's loss of
+    Z is read from the cached Grams, b_i^T G_i b_i - 2 h_i^T b_i + y_i^T y_i
+    per sequence, so no step of an iteration grows with the number of slices
+    S. Z is transposed back to (m, N) at the end. Deterministic; no
+    randomness anywhere. Returns (ParameterMatrix, SolverState); the history
+    logs the loss of Z, the primal residual in the field_norm column, and
+    rho in the kappa column. The state's termination is "slack",
+    "converged" or "iteration-cap".
 
     The iteration converges to the constrained optimum regardless of how
     badly scaled individual sequences are, which is what makes it the right
@@ -299,45 +304,48 @@ def constrained_least_squares(
         )
         return unconstrained, state
 
-    design, targets = slices.regressors, slices.observations  # (N, S, K), (N, S, C)
-    gram = np.einsum("nsk,nsl->nkl", design, design)  # (N, K, K)
-    xty = np.einsum("nsk,nsc->nck", design, targets)  # (N, C, K)
-    yty = float(np.sum(targets * targets))
-    evals, evecs = np.linalg.eigh(gram)  # evals (N, K), evecs (N, K, K)
+    normal = slices.normal_equations
+    gram, xty, evals, evecs = normal.gram, normal.xty, normal.evals, normal.evecs
+    evecs_t = evecs.transpose(0, 2, 1)
+    xty_v = xty @ evecs  # H_i V_i, fixed for the whole solve
 
     def loss_of(z: np.ndarray) -> float:
-        cols = z.T.reshape(n, c, -1)  # (N, C, K)
+        cols = z.reshape(n, c, -1)  # (N, C, K)
         quad = cols @ gram - 2.0 * xty  # rows G_i b_ic - 2 h_ic; gram is symmetric
-        return scale * (float(np.sum(cols * quad)) + yty)
+        return scale * (float(np.vdot(cols, quad)) + normal.yty)
+
+    def norm(a: np.ndarray) -> float:
+        return math.sqrt(float(np.vdot(a, a)))
 
     # geometric middle of the spectrum balances the two subproblems
     positive = evals[evals > 1e-12 * evals.max()]
     rho = float(np.exp(np.mean(np.log(positive)))) if positive.size else 1.0
 
     m = c * c * order + c
-    z = np.zeros((m, n))
-    u = np.zeros((m, n))
+    z = np.zeros((n, m))  # row i is vec(R_i): the transpose of B
+    u = np.zeros((n, m))
     history: list[HistoryRecord] = []
     termination = "iteration-cap"
     for iteration in range(1, max_iters + 1):
-        rhs = xty + (rho / 2.0) * (z - u).T.reshape(n, c, -1)
-        tmp = np.einsum("nlk,ncl->nck", evecs, rhs)
+        # ridge step (G_i + rho/2) b_i = h_i + rho/2 (z_i - u_i) in the eigenbasis
+        tmp = (z - u).reshape(n, c, -1) @ evecs
+        tmp *= rho / 2.0
+        tmp += xty_v
         tmp /= evals[:, None, :] + rho / 2.0
-        b_cols = np.einsum("nkl,ncl->nck", evecs, tmp)
-        b = b_cols.reshape(n, m).T
+        b = (tmp @ evecs_t).reshape(n, m)
         z_prev = z
         uu, delta, vt = np.linalg.svd(b + u, full_matrices=False)
         z = (uu * capped_simplex_project(delta, radius)) @ vt
         u = u + b - z
-        primal = float(np.linalg.norm(b - z))
-        dual = rho * float(np.linalg.norm(z - z_prev))
+        primal = norm(b - z)
+        dual = rho * norm(z - z_prev)
         history.append(
             HistoryRecord(
                 iteration=iteration, loss=loss_of(z), field_norm=primal,
                 kappa=rho, gamma=1.0 / rho, backtracks=0,
             )
         )
-        ref = max(float(np.linalg.norm(b)), float(np.linalg.norm(z)), 1e-30)
+        ref = max(norm(b), norm(z), 1e-30)
         if primal <= _ADMM_TOL * ref and dual <= _ADMM_TOL * ref:
             termination = "converged"
             break
@@ -347,11 +355,11 @@ def constrained_least_squares(
         elif dual > 10.0 * primal:
             rho /= 2.0
             u *= 2.0
-    params = ParameterMatrix(_finite_or_raise(z, "splitting iterate"), c, order)
+    params = ParameterMatrix(_finite_or_raise(z.T, "splitting iterate"), c, order)
     last = history[-1]  # rho may have been rebalanced after z was produced
     state = SolverState(
-        iterate=z, candidate=b, aggregate=z, kappa=last.kappa, gamma=last.gamma,
-        t=iteration, history=history, termination=termination,
+        iterate=params.data, candidate=b.T, aggregate=params.data, kappa=last.kappa,
+        gamma=last.gamma, t=iteration, history=history, termination=termination,
     )
     return params, state
 

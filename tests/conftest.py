@@ -32,3 +32,18 @@ def make_evaluator(rng, n=4, c=1, t_len=30, d=2, link="identity"):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240915)
+
+
+@pytest.fixture
+def factor_counter(monkeypatch):
+    """Counts calls to np.linalg.eigh and np.linalg.lstsq."""
+    calls = {"eigh": 0, "lstsq": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -1,5 +1,6 @@
 """End-to-end command line runs through main(argv)."""
 
+import csv
 import json
 
 import numpy as np
@@ -165,6 +166,44 @@ def test_embed_search_bisect(tmp_path, synth_dir):
     assert rc == 0
     metrics = read_json(out / "metrics.json")
     assert metrics["approx_rank"] in (0, 1)
+
+
+def test_embed_search_writes_search_csv(tmp_path, synth_dir, monkeypatch):
+    found = {}
+    real_search = cli.lambda_search
+
+    def recording_search(*args, **kwargs):
+        found["result"] = real_search(*args, **kwargs)
+        return found["result"]
+
+    monkeypatch.setattr(cli, "lambda_search", recording_search)
+    rc, out = run_embed(
+        tmp_path, synth_dir, name="brent", mode="admm-ls",
+        truth_path=str(synth_dir / "truth.csv"), search={"strategy": "brent"},
+    )
+    assert rc == 0
+    result = found["result"]
+    with open(out / "search.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["lambda", "score", "iterations", "termination"]
+    assert [float(r[0]) for r in rows[1:]] == result.lambdas_tried
+    assert [float(r[1]) for r in rows[1:]] == result.scores
+    assert len(rows) > 2
+    for row in rows[1:]:
+        assert int(row[2]) >= 0
+        assert row[3] in ("stop-tol", "converged", "slack", "iteration-cap")
+
+
+def test_embed_search_csv_leaves_unsolved_radius_empty(tmp_path, synth_dir):
+    rc, out = run_embed(
+        tmp_path, synth_dir, name="bisect_csv", mode="admm-ls",
+        search={"strategy": "bisect-to-rank1"},
+    )
+    assert rc == 0
+    with open(out / "search.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["0", "0", "", ""]  # radius 0 is the zero matrix, never solved
+    assert all(row[3] in ("converged", "slack", "iteration-cap") for row in rows[2:])
 
 
 def test_embed_with_truth_and_stochastic_window(tmp_path, synth_dir):

@@ -10,7 +10,8 @@ from lowrank_ar.measurement import (
     forward,
     sample_subwindow_slices,
 )
-from lowrank_ar.model import ParameterMatrix, SequenceCollection, build_regressor
+from lowrank_ar.field import EmpiricalField, FieldSpec
+from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection, build_regressor
 
 from conftest import make_collection
 
@@ -197,3 +198,38 @@ def test_subwindow_slices_use_contiguous_windows():
         # consecutive slice regressors step through the window one step apart
         assert np.allclose(np.diff(vals), 1.0)
         assert vals[0] >= seq[0, 0] and vals[-1] <= seq[0, -1]
+
+
+# ---------------------------------------------------------------- normal-equation cache
+
+
+def test_cache_is_built_once_read_only_and_matches_a_fresh_factorization(rng):
+    slices = random_slice_set(rng, n=4, c=2, d=3, s=12)
+    normal = slices.normal_equations
+    assert slices.normal_equations is normal
+    assert slices.ols is slices.ols
+    for arr in (normal.gram, normal.xty, normal.evals, normal.evecs, slices.ols):
+        assert not arr.flags.writeable
+    x, y = slices.regressors, slices.observations
+    gram = np.einsum("nsk,nsl->nkl", x, x)
+    evals, _ = np.linalg.eigh(gram)
+    scale = np.max(np.abs(gram))
+    assert np.max(np.abs(normal.gram - gram)) <= 1e-12 * scale
+    assert np.max(np.abs(normal.evals - evals)) <= 1e-12 * scale
+    rebuilt = (normal.evecs * normal.evals[:, None, :]) @ normal.evecs.transpose(0, 2, 1)
+    assert np.max(np.abs(rebuilt - gram)) <= 1e-12 * scale
+    xty = np.einsum("nsk,nsc->nck", x, y)
+    assert np.max(np.abs(normal.xty - xty)) <= 1e-12 * np.max(np.abs(xty))
+    assert normal.yty == pytest.approx(float(np.sum(y * y)), rel=1e-12)
+
+
+def test_building_a_slice_set_does_not_factor_it(rng, factor_counter):
+    coll = make_collection(rng, n=3, c=1, t_len=40)
+    enumerate_slices(coll, 2)
+    stochastic = EmpiricalField(
+        coll, FieldSpec(link=LinkFunction("identity"), order=2,
+                        mode="stochastic-subwindow", window=10, seed=0)
+    )
+    stochastic.field(np.zeros((stochastic.param_rows, 3)))
+    stochastic.loss(np.zeros((stochastic.param_rows, 3)))
+    assert factor_counter == {"eigh": 0, "lstsq": 0}

@@ -89,6 +89,14 @@ def test_capped_simplex_kkt_certificate(rng):
     assert t.sum() == pytest.approx(radius, abs=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [[1e17, 1.0], [1e17, 1e17]])
+def test_capped_simplex_feasible_when_sigma_dwarfs_radius(sigma):
+    # sigma_max - radius rounds to sigma_max, so only breakpoint 0 is valid
+    t = capped_simplex_project(np.array(sigma), 5.0)
+    assert np.all(t >= 0)
+    assert t.sum() <= 5.0
+
+
 def test_capped_simplex_input_validation():
     with pytest.raises(ValueError):
         capped_simplex_project(np.array([-0.1, 0.5]), 1.0)

@@ -8,7 +8,7 @@ import pytest
 
 from lowrank_ar.field import EmpiricalField, FieldSpec, ls_loss
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
-from lowrank_ar.nuclear import NuclearBallGeometry, nuclear_norm
+from lowrank_ar.nuclear import NuclearBallGeometry, capped_simplex_project, nuclear_norm
 from lowrank_ar.solver import (
     SolverConfig,
     SolverError,
@@ -66,6 +66,53 @@ def fista_oracle(slices, order, radius, iters=4000):
         y = b_next + ((tk - 1.0) / t_next) * (b_next - b)
         b, tk = b_next, t_next
     return b
+
+
+def einsum_admm_oracle(slices, order, radius, max_iters=4000):
+    """The splitting iteration as first written: factor per solve, (m, N) layout.
+
+    Scalar sequences only. Every solve rebuilds the Grams and their
+    eigendecomposition with einsum, takes its own lstsq fit, and iterates on
+    (m, N) matrices with einsum ridge steps. Returns (Z, t, termination, rhos).
+    """
+    n = slices.n_sequences
+    design, targets = slices.regressors, slices.observations
+    ols = np.column_stack(
+        [np.linalg.lstsq(x, y, rcond=None)[0].T.reshape(-1) for x, y in zip(design, targets)]
+    )
+    assert nuclear_norm(ols) > radius, "oracle covers the binding case only"
+    gram = np.einsum("nsk,nsl->nkl", design, design)
+    xty = np.einsum("nsk,nsc->nck", design, targets)
+    evals, evecs = np.linalg.eigh(gram)
+    positive = evals[evals > 1e-12 * evals.max()]
+    rho = float(np.exp(np.mean(np.log(positive)))) if positive.size else 1.0
+    m = order + 1
+    z = np.zeros((m, n))
+    u = np.zeros((m, n))
+    rhos, termination = [], "iteration-cap"
+    for t in range(1, max_iters + 1):
+        rhs = xty + (rho / 2.0) * (z - u).T.reshape(n, 1, -1)
+        tmp = np.einsum("nlk,ncl->nck", evecs, rhs)
+        tmp /= evals[:, None, :] + rho / 2.0
+        b = np.einsum("nkl,ncl->nck", evecs, tmp).reshape(n, m).T
+        z_prev = z
+        uu, delta, vt = np.linalg.svd(b + u, full_matrices=False)
+        z = (uu * capped_simplex_project(delta, radius)) @ vt
+        u = u + b - z
+        primal = float(np.linalg.norm(b - z))
+        dual = rho * float(np.linalg.norm(z - z_prev))
+        rhos.append(rho)
+        ref = max(float(np.linalg.norm(b)), float(np.linalg.norm(z)), 1e-30)
+        if primal <= 1e-10 * ref and dual <= 1e-10 * ref:
+            termination = "converged"
+            break
+        if primal > 10.0 * dual:
+            rho *= 2.0
+            u /= 2.0
+        elif dual > 10.0 * primal:
+            rho /= 2.0
+            u *= 2.0
+    return z, t, termination, rhos
 
 
 # ---------------------------------------------------------------- config
@@ -143,6 +190,43 @@ def test_splitting_solver_matches_projected_gradient_oracle(problem):
     oracle = fista_oracle(ev.slices, D, lam)
     assert np.max(np.abs(ls_params.data - oracle)) <= 1e-6
     assert abs(ev.loss(ls_params.data) - ev.loss(oracle)) <= 1e-9
+
+
+@pytest.mark.parametrize("share", [0.1, 0.5, 0.9])
+def test_splitting_solver_matches_einsum_oracle(problem, share):
+    ev, ols, upper, _ = problem
+    params, state = constrained_least_squares(ev.slices, 1, D, share * upper)
+    z, t, termination, rhos = einsum_admm_oracle(ev.slices, D, share * upper)
+    assert state.t == t
+    assert state.termination == termination
+    assert [rec.kappa for rec in state.history] == rhos
+    assert np.linalg.norm(params.data - z) <= 1e-10 * np.linalg.norm(z)
+
+
+def test_ols_is_bitwise_per_sequence_lstsq(problem):
+    ev, ols, _, _ = problem
+    slices = ev.slices
+    for i in range(slices.n_sequences):
+        coef, *_ = np.linalg.lstsq(slices.regressors[i], slices.observations[i], rcond=None)
+        assert np.array_equal(ols.data[:, i], coef.T.reshape(-1))
+    again = least_squares_unconstrained(slices, 1, D)
+    assert again.data is not ols.data
+    assert np.array_equal(again.data, ols.data)
+
+
+def test_second_solve_reuses_the_factorization(factor_counter):
+    gen = np.random.default_rng(12)
+    coll = SequenceCollection(
+        sequences=tuple(gen.standard_normal((1, 50)) for _ in range(4)), ids=tuple("abcd")
+    )
+    slices = EmpiricalField(coll, FieldSpec(link=LinkFunction("identity"), order=D)).slices
+    upper = nuclear_norm(least_squares_unconstrained(slices, 1, D).data)
+    first, _ = constrained_least_squares(slices, 1, D, 0.5 * upper)
+    assert factor_counter == {"eigh": 1, "lstsq": 4}
+    second, _ = constrained_least_squares(slices, 1, D, 0.5 * upper)
+    constrained_least_squares(slices, 1, D, 0.3 * upper)
+    assert factor_counter == {"eigh": 1, "lstsq": 4}
+    assert np.array_equal(first.data, second.data)
 
 
 def test_splitting_solver_slack_is_exact_ols(problem):
