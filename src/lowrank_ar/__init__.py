@@ -8,11 +8,8 @@ matrix, and reads per-sequence embeddings off the SVD of the recovered matrix.
 from lowrank_ar.model import (
     LinkFunction,
     ParameterMatrix,
-    RegressorWindow,
     SequenceCollection,
     apply_link,
-    build_regressor,
-    predict,
 )
 from lowrank_ar.measurement import (
     MeasurementSlice,
@@ -73,11 +70,8 @@ __version__ = "0.1.0"
 __all__ = [
     "LinkFunction",
     "ParameterMatrix",
-    "RegressorWindow",
     "SequenceCollection",
     "apply_link",
-    "build_regressor",
-    "predict",
     "MeasurementSlice",
     "SliceSet",
     "adjoint",

@@ -33,7 +33,7 @@ from lowrank_ar.evalkit import (
 from lowrank_ar.field import EmpiricalField, FieldSpec
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
 from lowrank_ar.nuclear import nuclear_norm
-from lowrank_ar.solver import SolverConfig, SolverError, solve, write_history_csv
+from lowrank_ar.solver import ADMM_MAX_ITERS, SolverConfig, SolverError, solve, write_history_csv
 from lowrank_ar.synthetic import (
     GenClassSpec,
     UnstableCoefficientsError,
@@ -85,7 +85,7 @@ _EMBED_DEFAULTS: dict = {
     "lambda": "inf",
     "search": None,
     "mode": "mirror-prox-backtracking",
-    "iters": 256,
+    "iters": None,
     "kappa0": 1e-6,
     "stop_tol": None,
     "window_g": None,
@@ -372,16 +372,21 @@ def _make_evaluator(collection: SequenceCollection, config: dict) -> EmpiricalFi
 
 
 def _solver_config(config: dict, lambda_: float) -> SolverConfig:
-    if config["mode"] == "admm-ls":
+    """The solve's settings; iters = null leaves each solver its own cap."""
+    admm = config["mode"] == "admm-ls"
+    if admm:
         if config["link"] != "identity":
             raise ConfigError("mode admm-ls requires --link identity")
         if config["window_g"] is not None:
             raise ConfigError("mode admm-ls is incompatible with --window-g")
+    iters = config["iters"]
+    if iters is None:
+        iters = ADMM_MAX_ITERS if admm else SolverConfig.max_iters
     try:
         return SolverConfig(
             mode=config["mode"],
             lambda_=lambda_,
-            max_iters=int(config["iters"]),
+            max_iters=int(iters),
             kappa0=float(config["kappa0"]),
             stop_tol=config["stop_tol"],
         )
@@ -505,6 +510,9 @@ def cmd_embed(config: dict) -> int:
         lam = _parse_lambda(config["lambda"])
         params = solve_fn(lam)
     runtime = time.perf_counter() - start
+    if lam > 0 and not np.any(params.data):
+        raise SolverError(f"the fit at radius lambda = {_LAMBDA_FMT % lam} collapsed "
+                          "to the zero matrix, which has no embedding")
 
     embedding = factorize(params, ids=list(collection.ids))
     write_embedding_csv(embedding, out / "embeddings.csv", labels=collection.labels)

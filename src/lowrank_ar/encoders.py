@@ -232,13 +232,6 @@ def encode_corpus(
     )
 
 
-def chunk_text(text: str, size: int) -> list:
-    """Consecutive full chunks of exactly `size` characters; tail dropped."""
-    if size < 1:
-        raise ValueError("size must be positive")
-    return [text[i : i + size] for i in range(0, len(text) - size + 1, size)]
-
-
 def encode_nucleotides(genome_text: str) -> np.ndarray:
     """(4, T) probability columns in channel order A, C, T, G.
 

@@ -355,8 +355,11 @@ def lambda_search(
     bisect-to-rank1 returns the largest radius whose solution still has
     approximate rank 1 (relative bracket tolerance 1e-2). grid sweeps
     n_points log-spaced radii and keeps the best-scoring solution among
-    those with approximate rank below full. brent minimizes the objective
-    with scipy's bounded scalar minimizer at absolute tolerance tol.
+    those with approximate rank below full. brent first scores the
+    unconstrained fit (recorded at lambda = inf, with no further solve),
+    then minimizes the objective over the bracket with scipy's bounded
+    scalar minimizer at absolute tolerance tol, and returns the best score
+    seen, so it never returns worse than a fit it has scored.
     """
     if strategy not in SEARCH_STRATEGIES:
         raise ValueError(f"strategy must be one of {SEARCH_STRATEGIES}")
@@ -419,6 +422,8 @@ def lambda_search(
             best_params = solve_at(best_lam)
         return LambdaSearchResult(tried, scores, best_lam, best_params)
 
+    cache[math.inf] = unconstrained
+
     def scalar_objective(lam: float) -> float:
         params = solve_at(lam)
         score = problem.objective(objective, params)
@@ -426,13 +431,12 @@ def lambda_search(
         scores.append(score)
         return score
 
+    scalar_objective(math.inf)
     result = optimize.minimize_scalar(
         scalar_objective, bounds=(0.0, upper), method="bounded",
         options={"xatol": tol},
     )
-    best_lam = float(result.x)
-    best_params = solve_at(best_lam)
-    if best_lam not in tried:
-        tried.append(best_lam)
-        scores.append(problem.objective(objective, best_params))
-    return LambdaSearchResult(tried, scores, best_lam, best_params)
+    if float(result.x) not in tried:
+        scalar_objective(float(result.x))
+    best_lam = tried[int(np.argmin(scores))]
+    return LambdaSearchResult(tried, scores, best_lam, solve_at(best_lam))

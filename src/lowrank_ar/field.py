@@ -15,9 +15,19 @@ and measurement.correlations. Under the identity link
 For any link, the field vanishes termwise at the generating parameters on
 noiseless data, and monotonicity of eta makes the field monotone.
 
-Each sum over slices is one batched matrix product per call, with a fixed
-shape for a given slice set, so reruns are bitwise reproducible and a
-reordering of the slices moves the result by rounding only.
+A set that is evaluated again (any explicit set, or the full-horizon set
+of an EmpiricalField) serves the loss and the identity-link field from its
+normal equations G_i = X_i^T X_i, H_i = Y_i^T X_i, cached on first use:
+
+    field = w^2/S * [R_i G_i - H_i]_i
+    ls_loss = w^2/S * (sum_i <R_i, R_i G_i - 2 H_i> + sum_i ||Y_i||^2)
+
+at O(N C K^2) a call whatever S. The other links' fields, and every
+stochastic-subwindow draw (used once), multiply out the design instead.
+
+Each sum is one batched matrix product per call, with a fixed shape for a
+given slice set, so reruns are bitwise reproducible and a reordering of the
+slices moves the result by rounding only.
 """
 
 from __future__ import annotations
@@ -70,6 +80,11 @@ def _scale(slices: SliceSet) -> float:
     return slices.weight**2 / len(slices)
 
 
+def _rows(data: np.ndarray, slices: SliceSet) -> np.ndarray:
+    """The (m, N) parameter data as per-sequence rows R_i, shape (N, C, K)."""
+    return data.T.reshape(slices.n_sequences, slices.channel_count, -1)
+
+
 def _loss_data(data: np.ndarray, slices: SliceSet) -> float:
     resid = predictions(slices, data) - slices.observations
     return float(_scale(slices) * np.vdot(resid, resid))
@@ -80,6 +95,21 @@ def _field_data(data: np.ndarray, link: LinkFunction, slices: SliceSet) -> np.nd
     return _scale(slices) * correlations(slices, resid)
 
 
+def _gram_loss(data: np.ndarray, slices: SliceSet) -> float:
+    rss = slices.normal_equations.residual_sum_of_squares(_rows(data, slices))
+    return _scale(slices) * rss
+
+
+def _set_field(data: np.ndarray, link: LinkFunction, slices: SliceSet) -> np.ndarray:
+    if link.variant != "identity":
+        return _field_data(data, link, slices)
+    normal = slices.normal_equations
+    prod = _rows(data, slices) @ normal.gram  # (N, C, K); gram is symmetric
+    prod -= normal.xty
+    prod *= _scale(slices)
+    return prod.reshape(slices.n_sequences, -1).T
+
+
 # --------------------------------------------------------------------------
 # contract functions on explicit slice sets
 
@@ -87,13 +117,13 @@ def _field_data(data: np.ndarray, link: LinkFunction, slices: SliceSet) -> np.nd
 def ls_loss(params: ParameterMatrix, slices: SliceSet) -> float:
     """(1/S) * || A(B) - w Y ||^2, the mean squared forward residual per slice."""
     check_compatible(slices, params)
-    return _loss_data(params.data, slices)
+    return _gram_loss(params.data, slices)
 
 
 def field(spec: FieldSpec, params: ParameterMatrix, slices: SliceSet) -> np.ndarray:
     """Empirical field (1/S) * A*(w * (eta(z) - Y)) as an (m, N) array."""
     check_compatible(slices, params)
-    return _field_data(params.data, spec.link, slices)
+    return _set_field(params.data, spec.link, slices)
 
 
 # --------------------------------------------------------------------------
@@ -103,10 +133,11 @@ def field(spec: FieldSpec, params: ParameterMatrix, slices: SliceSet) -> np.ndar
 class EmpiricalField:
     """Bundles a collection and a FieldSpec into field/loss callables.
 
-    Full-horizon mode builds the slice set once. Stochastic mode draws a
-    fresh set, one window per sequence, from an internal generator on every
-    evaluation (field and loss alike), so evaluation order matters to the
-    draw sequence but reruns with the same seed are bitwise identical.
+    Full-horizon mode builds the slice set once (field() and ls_loss() on
+    it). Stochastic mode draws a fresh set, one window per sequence, from an
+    internal generator on every evaluation (field and loss alike), so
+    evaluation order matters to the draw sequence but reruns with the same
+    seed are bitwise identical.
     """
 
     def __init__(self, collection: SequenceCollection, spec: FieldSpec):
@@ -136,15 +167,17 @@ class EmpiricalField:
             raise ValueError("stochastic mode redraws slices per call")
         return self._slices
 
-    def _current_slices(self) -> SliceSet:
-        if self._slices is not None:
-            return self._slices
+    def _draw(self) -> SliceSet:
         return sample_subwindow_slices(
             self.collection, self.spec.order, self.spec.window, self._rng
         )
 
     def field(self, data: np.ndarray) -> np.ndarray:
-        return _field_data(data, self.spec.link, self._current_slices())
+        if self._slices is None:
+            return _field_data(data, self.spec.link, self._draw())
+        return _set_field(data, self.spec.link, self._slices)
 
     def loss(self, data: np.ndarray) -> float:
-        return _loss_data(data, self._current_slices())
+        if self._slices is None:
+            return _loss_data(data, self._draw())
+        return _gram_loss(data, self._slices)

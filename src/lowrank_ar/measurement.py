@@ -22,8 +22,9 @@ first use only, so building a set (or drawing a stochastic window set) pays
 nothing for it, and read-only afterwards:
 
 * normal_equations: the per-sequence Grams G_i = X_i^T X_i (N, K, K), the
-  cross-moments H_i = Y_i^T X_i (N, C, K), sum_i ||Y_i||^2, and the
-  eigendecomposition of every G_i;
+  cross-moments H_i = Y_i^T X_i (N, C, K) and sum_i ||Y_i||^2, which the
+  loss, the identity-link field and the ADMM solver read;
+* gram_eigen: eigh of every G_i, which only the ADMM solver reads;
 * ols: the per-sequence ordinary least-squares fit, one lstsq per
   sequence, as an (m, N) array in the layout of ParameterMatrix.
 
@@ -66,15 +67,24 @@ def _read_only(arr) -> np.ndarray:
 class NormalEquations:
     """Per-sequence normal equations of a slice set; every array read-only.
 
-    gram (N, K, K) holds X_i^T X_i, xty (N, C, K) holds Y_i^T X_i, yty is
-    sum_i ||Y_i||^2, and evals (N, K) / evecs (N, K, K) are eigh(gram).
+    gram (N, K, K) holds X_i^T X_i, xty (N, C, K) holds Y_i^T X_i and yty
+    is sum_i ||Y_i||^2.
     """
 
     gram: np.ndarray
     xty: np.ndarray
     yty: float
-    evals: np.ndarray
-    evecs: np.ndarray
+
+    def residual_sum_of_squares(self, r: np.ndarray) -> float:
+        """sum_i ||X_i R_i^T - Y_i||^2 for r (N, C, K) holding every R_i.
+
+        Computed as sum_i <R_i G_i - 2 H_i, R_i> + sum_i ||Y_i||^2, whose terms
+        cancel on a near-perfect fit: the error is absolute, a few ulps of
+        sum_i ||Y_i||^2, so the sum is clipped at zero.
+        """
+        r = np.ascontiguousarray(r)
+        quad = float(np.vdot(r @ self.gram, r))  # gram is symmetric
+        return max(quad - 2.0 * float(np.vdot(self.xty, r)) + self.yty, 0.0)
 
 
 @dataclass(frozen=True)
@@ -132,17 +142,18 @@ class SliceSet:
 
     @cached_property
     def normal_equations(self) -> NormalEquations:
-        """G_i, H_i, sum ||Y_i||^2 and eigh(G_i), computed on first access."""
+        """G_i, H_i and sum ||Y_i||^2, computed on first access."""
         design, targets = self.regressors, self.observations
-        gram = np.einsum("nsk,nsl->nkl", design, design)
-        evals, evecs = np.linalg.eigh(gram)
         return NormalEquations(
-            gram=_read_only(gram),
-            xty=_read_only(np.einsum("nsk,nsc->nck", design, targets)),
+            gram=_read_only(design.transpose(0, 2, 1) @ design),
+            xty=_read_only(targets.transpose(0, 2, 1) @ design),
             yty=float(np.sum(targets * targets)),
-            evals=_read_only(evals),
-            evecs=_read_only(evecs),
         )
+
+    @cached_property
+    def gram_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh(G_i) = (evals (N, K), evecs (N, K, K)), computed on first access."""
+        return tuple(_read_only(a) for a in np.linalg.eigh(self.normal_equations.gram))
 
     @cached_property
     def ols(self) -> np.ndarray:

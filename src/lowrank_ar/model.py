@@ -1,4 +1,4 @@
-"""Autoregressive observation model: sequence containers, regressors, links.
+"""Autoregressive observation model: sequence containers, parameters, links.
 
 Every sequence i carries C channels. The model predicts the observation at
 time t (1-indexed) from the d preceding observations through a per-sequence
@@ -8,7 +8,8 @@ weight matrix R_i of shape C x (C*d+1) and a monotone link eta:
 
 where xi_{i,t} = (1, x_{t-1}, ..., x_{t-d}) stacks a bias entry and the d
 most recent observations, most recent step first, with the C channels of one
-time step kept contiguous. Columns of a ParameterMatrix are the row-major
+time step kept contiguous; measurement.enumerate_slices builds every xi_{i,t}
+of a collection at once. Columns of a ParameterMatrix are the row-major
 vectorizations vec(R_i), so the stacked matrix has C^2*d + C rows.
 """
 
@@ -111,26 +112,6 @@ class SequenceCollection:
 
 
 @dataclass(frozen=True)
-class RegressorWindow:
-    """Regressor vector xi = (1, x_{t-1}, ..., x_{t-d}) for one sequence."""
-
-    values: np.ndarray
-    order: int
-    channel_count: int
-
-    def __post_init__(self):
-        vals = _lock(np.asarray(self.values, dtype=float).ravel())
-        if vals.shape[0] != self.channel_count * self.order + 1:
-            raise ValueError(
-                f"regressor length {vals.shape[0]} != C*d+1 = "
-                f"{self.channel_count * self.order + 1}"
-            )
-        if vals[0] != 1.0:
-            raise ValueError("first regressor entry must be exactly 1")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
 class ParameterMatrix:
     """Stacked per-sequence weights: column i is vec(R_i), row-major.
 
@@ -161,11 +142,6 @@ class ParameterMatrix:
         """R_i as a (C, C*d+1) matrix."""
         c, d = self.channel_count, self.order
         return self.data[:, i].reshape(c, c * d + 1)
-
-    @classmethod
-    def from_weights(cls, weights: list, channel_count: int, order: int) -> "ParameterMatrix":
-        cols = [np.asarray(w, dtype=float).reshape(-1) for w in weights]
-        return cls(np.column_stack(cols), channel_count, order)
 
     @classmethod
     def zeros(cls, channel_count: int, order: int, n_sequences: int) -> "ParameterMatrix":
@@ -221,49 +197,3 @@ def apply_link(link: LinkFunction, z, block_size: int = 1) -> np.ndarray:
         raise ValueError(f"length {flat.shape[0]} not divisible by block_size {block_size}")
     out = _link_rows(link, flat.reshape(-1, block_size))
     return out.reshape(arr.shape)
-
-
-# --------------------------------------------------------------------------
-# regressors and prediction
-
-
-def build_regressor(seq, t: int, d: int) -> RegressorWindow:
-    """Regressor window at 1-indexed time t: (1, x_{t-1}, ..., x_{t-d}).
-
-    Channels of one time step stay contiguous, most recent step first. Valid
-    for d+1 <= t <= T.
-    """
-    if d < 1:
-        raise ValueError(f"order d must be >= 1, got {d}")
-    arr = _as_channel_matrix(seq)
-    T = arr.shape[1]
-    if t <= d or t > T:
-        raise IndexError(f"t={t} out of range [{d + 1}, {T}] for order {d}")
-    # columns t-2 .. t-1-d (0-based), newest first, then step-major flatten
-    window = arr[:, t - 1 - d : t - 1][:, ::-1]
-    values = np.concatenate(([1.0], window.T.reshape(-1)))
-    return RegressorWindow(values=values, order=d, channel_count=arr.shape[0])
-
-
-def predict(
-    params: ParameterMatrix,
-    collection: SequenceCollection,
-    t: int,
-    link: LinkFunction = LinkFunction("identity"),
-) -> np.ndarray:
-    """Stacked eta(R_i @ xi_{i,t}) over i = 1..N, length C*N."""
-    c = params.channel_count
-    if c != collection.channel_count:
-        raise ValueError(
-            f"channel mismatch: params C={c}, collection C={collection.channel_count}"
-        )
-    if params.n_sequences != collection.n_sequences:
-        raise ValueError(
-            f"sequence-count mismatch: params N={params.n_sequences}, "
-            f"collection N={collection.n_sequences}"
-        )
-    z = np.empty((collection.n_sequences, c))
-    for i, seq in enumerate(collection.sequences):
-        xi = build_regressor(seq, t, params.order).values
-        z[i] = params.weights_for(i) @ xi
-    return apply_link(link, z.reshape(-1), block_size=c)

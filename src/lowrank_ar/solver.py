@@ -18,7 +18,7 @@ splits the quadratic loss from the ball constraint and alternates exact
 minimization with exact projection, which stays accurate on badly scaled
 data where a single step size has to serve sequences of wildly different
 magnitudes. It factors the per-sequence normal equations and fits OLS once
-per slice set (SliceSet.normal_equations and SliceSet.ols), so every solve
+per slice set (SliceSet.gram_eigen and SliceSet.ols), so every solve
 of a radius search or sweep after the first reuses them, and it iterates in
 the (N, m) layout, one row per sequence, with batched matrix products and
 one thin SVD per iteration; its history loss is read from the cached Gram
@@ -48,6 +48,7 @@ from lowrank_ar.nuclear import NuclearBallGeometry, capped_simplex_project, nucl
 
 _MODES = ("mirror-descent", "mirror-prox-backtracking", "admm-ls")
 _ADMM_TOL = 1e-10  # relative primal and dual residual at which the splitting stops
+ADMM_MAX_ITERS = 4000  # the splitting's own iteration cap
 _MAX_BACKTRACKS = 60  # kappa doublings per mirror-prox iteration before giving up
 
 
@@ -260,15 +261,15 @@ def constrained_least_squares(
     channel_count: int,
     order: int,
     radius: float,
-    max_iters: int = 4000,
+    max_iters: int = ADMM_MAX_ITERS,
 ):
     """Exact minimizer of ls_loss under the identity link on the nuclear ball.
 
     Splitting scheme: the quadratic term is minimized per sequence against a
     copy Z that is projected onto the ball, with a scaled dual U tying the two
-    together. The normal equations are factored once per slice set
-    (SliceSet.normal_equations: G_i = X_i^T X_i, H_i = Y_i^T X_i and the
-    eigendecomposition G_i = V_i diag(e_i) V_i^T), so a radius search or
+    together. The normal equations are built and factored once per slice
+    set (SliceSet.normal_equations: G_i = X_i^T X_i and H_i = Y_i^T X_i;
+    SliceSet.gram_eigen: G_i = V_i diag(e_i) V_i^T), so a radius search or
     sweep on one set pays for them once, and the penalty weight rho can be
     rebalanced for free. The iteration runs in the (N, m) layout, one row
     per sequence: the ridge step is two batched products against V_i, the
@@ -305,14 +306,12 @@ def constrained_least_squares(
         return unconstrained, state
 
     normal = slices.normal_equations
-    gram, xty, evals, evecs = normal.gram, normal.xty, normal.evals, normal.evecs
+    evals, evecs = slices.gram_eigen
     evecs_t = evecs.transpose(0, 2, 1)
-    xty_v = xty @ evecs  # H_i V_i, fixed for the whole solve
+    xty_v = normal.xty @ evecs  # H_i V_i, fixed for the whole solve
 
     def loss_of(z: np.ndarray) -> float:
-        cols = z.reshape(n, c, -1)  # (N, C, K)
-        quad = cols @ gram - 2.0 * xty  # rows G_i b_ic - 2 h_ic; gram is symmetric
-        return scale * (float(np.vdot(cols, quad)) + normal.yty)
+        return scale * normal.residual_sum_of_squares(z.reshape(n, c, -1))
 
     def norm(a: np.ndarray) -> float:
         return math.sqrt(float(np.vdot(a, a)))

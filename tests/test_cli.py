@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 from lowrank_ar import cli
-from lowrank_ar.dataio import read_json, read_labels_csv, read_matrix_csv, write_json, write_split_csv
+from lowrank_ar.dataio import (
+    read_json,
+    read_labels_csv,
+    read_matrix_csv,
+    write_collection_csv,
+    write_json,
+    write_split_csv,
+)
 from lowrank_ar.embedding import read_embedding_csv
+from lowrank_ar.model import SequenceCollection
 
 
 def run(argv):
@@ -204,6 +212,43 @@ def test_embed_search_csv_leaves_unsolved_radius_empty(tmp_path, synth_dir):
         rows = list(csv.reader(fh))
     assert rows[1] == ["0", "0", "", ""]  # radius 0 is the zero matrix, never solved
     assert all(row[3] in ("converged", "slack", "iteration-cap") for row in rows[2:])
+
+
+def search_rows(out):
+    with open(out / "search.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_embed_admm_search_runs_under_the_admm_cap(tmp_path, synth_dir):
+    common = dict(
+        mode="admm-ls", truth_path=str(synth_dir / "truth.csv"), search={"strategy": "brent"},
+    )
+    rc, out = run_embed(tmp_path, synth_dir, name="own_cap", iters=None, **common)
+    assert rc == 0
+    assert read_json(out / "manifest.json")["iters"] is None
+    rows = search_rows(out)
+    assert not [row for row in rows if row[2:] == ["256", "iteration-cap"]]
+    # Brent scores the unconstrained fit it already holds, as radius inf
+    assert rows[0][0] == "inf" and rows[0][2:] == ["0", "slack"]
+    # an explicit iteration count still caps every solve
+    rc, out = run_embed(tmp_path, synth_dir, name="set_cap", iters=5, **common)
+    assert rc == 0
+    assert max(int(row[2]) for row in search_rows(out)) <= 5
+
+
+def test_embed_exits_3_when_the_fit_collapses_to_zero(tmp_path, capsys):
+    # one explosive sequence (1e8) beside four unit-scale ones: the first
+    # prox step loses every singular value to rounding at radius 5
+    rng = np.random.default_rng(0)
+    seqs = [rng.standard_normal((1, 40)) for _ in range(4)]
+    seqs.append(1e8 * 1.9 ** np.arange(-39.0, 1.0)[None])
+    collection = SequenceCollection(sequences=seqs, ids=[f"s{i}" for i in range(5)])
+    write_collection_csv(collection, tmp_path / "data.csv")
+    cfg = tmp_path / "cfg.json"
+    write_json({"input": str(tmp_path / "data.csv"), "d": 3, "lambda": 5.0}, cfg)
+    assert run(["embed", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert "zero matrix" in err and "lambda = 5" in err
 
 
 def test_embed_with_truth_and_stochastic_window(tmp_path, synth_dir):

@@ -15,7 +15,6 @@ from lowrank_ar.encoders import (
     HuffmanCode,
     SequenceTooShortError,
     build_huffman,
-    chunk_text,
     clean_text,
     corpus_frequencies,
     decode_symbols,
@@ -218,14 +217,6 @@ def test_encode_corpus_all_short_raises():
     code = build_huffman({"a": 1, "b": 1}, arity=2)
     with pytest.raises(ValueError, match="cutoff"):
         encode_corpus(["a", "b"], ids=["x", "y"], code=code, cutoff=100)
-
-
-def test_chunk_text():
-    assert chunk_text("abcdefg", 3) == ["abc", "def"]
-    assert chunk_text("abcdef", 3) == ["abc", "def"]
-    assert chunk_text("ab", 3) == []
-    with pytest.raises(ValueError):
-        chunk_text("abc", 0)
 
 
 # ---------------------------------------------------------------- nucleotides

@@ -278,6 +278,25 @@ def test_brent_finds_interior_minimum():
     assert len(result.lambdas_tried) == len(result.scores)
 
 
+def test_brent_returns_the_unconstrained_fit_when_it_scores_best():
+    target = np.diag([3.0, 1.0])
+
+    def two_minima(p):
+        # an interior local minimum at radius 1 (score 0.5) that Brent settles
+        # in, and the global one at the top of the bracket, radius 4 (score 0)
+        radius = float(np.linalg.svd(p.data, compute_uv=False).sum())
+        return min((radius - 1.0) ** 2 + 0.5, 20.0 * (radius - 4.0) ** 2)
+
+    problem, calls = projection_problem(target, two_minima)
+    result = lambda_search(problem, strategy="brent", tol=1e-4)
+    assert result.lambdas_tried[0] == math.inf
+    assert result.scores[0] <= 1e-20
+    assert min(result.scores[1:]) >= 0.5  # Brent's own evaluations
+    assert result.best_lambda == math.inf
+    assert np.array_equal(result.best_params.data, target)
+    assert calls.count(math.inf) == 1  # scored without a second solve
+
+
 def test_search_caches_repeated_lambdas():
     target = np.diag([3.0, 1.0])
     problem, calls = projection_problem(

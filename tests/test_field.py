@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 
+import lowrank_ar.field as field_module
 from lowrank_ar.field import EmpiricalField, FieldSpec, field, ls_loss
 from lowrank_ar.measurement import SliceSet
 from lowrank_ar.model import (
@@ -12,7 +13,6 @@ from lowrank_ar.model import (
     ParameterMatrix,
     SequenceCollection,
     apply_link,
-    build_regressor,
 )
 
 from conftest import make_collection, make_evaluator
@@ -58,7 +58,8 @@ def simulate_linked_collection(rng, variant, c, d, n, t_len):
         else:
             arr[:, :d] = 0.1 * rng.standard_normal((c, d))
         for t in range(d, t_len):
-            xi = build_regressor(arr[:, : t + 1], t + 1, d).values
+            # bias, then steps t-1 .. t-d newest first, the channels of a step contiguous
+            xi = np.concatenate(([1.0], arr[:, t - d : t][:, ::-1].T.reshape(-1)))
             z = params.weights_for(i) @ xi
             arr[:, t] = apply_link(link, z, block_size=c)
         seqs.append(arr)
@@ -183,6 +184,76 @@ def test_empirical_field_slices_match_module_functions(rng):
     params = random_params_for(ev, rng)
     assert np.array_equal(ev.field(params.data), field(ev.spec, params, ev.slices))
     assert ev.loss(params.data) == ls_loss(params, ev.slices)
+
+
+# ---------------------------------------------------------------- normal-equation form
+
+
+def test_full_horizon_identity_calls_build_grams_without_eigh(rng, factor_counter):
+    ev = make_evaluator(rng, n=3, c=2, t_len=30, d=2)
+    params = random_params_for(ev, rng)
+    assert "normal_equations" not in vars(ev.slices)
+    ev.loss(params.data)
+    assert "normal_equations" in vars(ev.slices)
+    ev.field(params.data)
+    field(ev.spec, params, ev.slices)
+    ls_loss(params, ev.slices)
+    assert "gram_eigen" not in vars(ev.slices)
+    assert factor_counter == {"eigh": 0, "lstsq": 0}
+
+
+@pytest.mark.parametrize("variant", ["identity", "softmax"])
+def test_stochastic_calls_build_no_cache(rng, monkeypatch, variant):
+    c = 2 if variant == "softmax" else 1
+    kind = "probability-simplex" if variant == "softmax" else "real"
+    coll = make_collection(rng, n=3, c=c, t_len=60, kind=kind)
+    spec = FieldSpec(
+        link=LinkFunction(variant), order=2,
+        mode="stochastic-subwindow", window=10, seed=1,
+    )
+    ev = EmpiricalField(coll, spec)
+    drawn = []
+    real_draw = field_module.sample_subwindow_slices
+
+    def recording_draw(*args, **kwargs):
+        drawn.append(real_draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(field_module, "sample_subwindow_slices", recording_draw)
+    data = 0.1 * rng.standard_normal((ev.param_rows, 3))
+    ev.field(data)
+    ev.loss(data)
+    assert len(drawn) == 2
+    for slices in drawn:
+        assert not {"normal_equations", "gram_eigen", "ols"} & set(vars(slices))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_gram_loss_at_generating_parameters_matches_residual_form(seed):
+    # near-perfect fits cancel in the Gram form: seeds 1 and 3 sum to below zero
+    rng = np.random.default_rng(seed)
+    coll, params = simulate_linked_collection(rng, "identity", c=2, d=2, n=3, t_len=40)
+    slices = EmpiricalField(coll, FieldSpec(link=LinkFunction("identity"), order=2)).slices
+    x, y = slices.regressors, slices.observations
+    rows = params.data.T.reshape(3, 2, -1)
+    resid = np.einsum("nsk,nck->nsc", x, rows) - y
+    scale = slices.weight**2 / len(slices)
+    residual_form = scale * float(np.sum(resid * resid))
+    gram_form = ls_loss(params, slices)
+    assert gram_form >= 0.0
+    assert abs(gram_form - residual_form) <= 1e-12 * scale * float(np.sum(y * y))
+
+
+@pytest.mark.parametrize("variant", ["softmax", "exponential", "logistic"])
+def test_full_horizon_loss_matches_residual_form(rng, variant):
+    # the loss reads the Grams whatever the link; the identity case is test_ls_loss_matches_loop
+    c = 2 if variant == "softmax" else 1
+    ev = make_evaluator(rng, n=3, c=c, t_len=40, d=3, link=variant)
+    params = random_params_for(ev, rng, scale=0.3)
+    x, y = ev.slices.regressors, ev.slices.observations
+    resid = np.einsum("nsk,nck->nsc", x, params.data.T.reshape(3, c, -1)) - y
+    expected = ev.slices.weight**2 / len(ev.slices) * float(np.sum(resid * resid))
+    assert ev.loss(params.data) == pytest.approx(expected, rel=1e-12)
 
 
 def test_stochastic_mode_redraws_and_reproduces(rng):

@@ -11,7 +11,7 @@ from lowrank_ar.measurement import (
     sample_subwindow_slices,
 )
 from lowrank_ar.field import EmpiricalField, FieldSpec
-from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection, build_regressor
+from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
 
 from conftest import make_collection
 
@@ -104,9 +104,19 @@ def test_enumerate_slices_count_and_targets(rng):
     assert first.weight == w
     for i, seq in enumerate(coll.sequences):
         assert np.allclose(first.target[2 * i : 2 * i + 2], w * seq[:, d])
-        assert np.array_equal(
-            first.regressors[i], build_regressor(seq, d + 1, d).values
-        )
+        # bias, then steps d .. 1 newest first, the channels of a step contiguous
+        window = seq[:, :d][:, ::-1].T.reshape(-1)
+        assert np.array_equal(first.regressors[i], np.concatenate(([1.0], window)))
+
+
+def test_enumerate_slices_regressor_layout():
+    # two channels, values chosen so every slot is distinguishable
+    seq = np.array([[11.0, 12.0, 13.0, 14.0], [21.0, 22.0, 23.0, 24.0]])
+    slices = enumerate_slices(SequenceCollection(sequences=[seq], ids=["a"]), 2)
+    # slice 0 predicts step 3 from the bias, then step 2 (both channels), then step 1
+    assert np.array_equal(slices.regressors[0, 0], [1.0, 12.0, 22.0, 11.0, 21.0])
+    assert np.array_equal(slices.regressors[0, 1], [1.0, 13.0, 23.0, 12.0, 22.0])
+    assert np.array_equal(slices.observations[0], [[13.0, 23.0], [14.0, 24.0]])
 
 
 def test_slice_set_is_read_only_and_matches_its_views(rng):
@@ -205,18 +215,19 @@ def test_subwindow_slices_use_contiguous_windows():
 
 def test_cache_is_built_once_read_only_and_matches_a_fresh_factorization(rng):
     slices = random_slice_set(rng, n=4, c=2, d=3, s=12)
-    normal = slices.normal_equations
+    normal, (evals_cached, evecs) = slices.normal_equations, slices.gram_eigen
     assert slices.normal_equations is normal
+    assert slices.gram_eigen is slices.gram_eigen
     assert slices.ols is slices.ols
-    for arr in (normal.gram, normal.xty, normal.evals, normal.evecs, slices.ols):
+    for arr in (normal.gram, normal.xty, evals_cached, evecs, slices.ols):
         assert not arr.flags.writeable
     x, y = slices.regressors, slices.observations
     gram = np.einsum("nsk,nsl->nkl", x, x)
     evals, _ = np.linalg.eigh(gram)
     scale = np.max(np.abs(gram))
     assert np.max(np.abs(normal.gram - gram)) <= 1e-12 * scale
-    assert np.max(np.abs(normal.evals - evals)) <= 1e-12 * scale
-    rebuilt = (normal.evecs * normal.evals[:, None, :]) @ normal.evecs.transpose(0, 2, 1)
+    assert np.max(np.abs(evals_cached - evals)) <= 1e-12 * scale
+    rebuilt = (evecs * evals_cached[:, None, :]) @ evecs.transpose(0, 2, 1)
     assert np.max(np.abs(rebuilt - gram)) <= 1e-12 * scale
     xty = np.einsum("nsk,nsc->nck", x, y)
     assert np.max(np.abs(normal.xty - xty)) <= 1e-12 * np.max(np.abs(xty))

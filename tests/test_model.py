@@ -1,4 +1,4 @@
-"""Collections, parameter matrices, links, and regressor windows."""
+"""Collections, parameter matrices and links."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,8 @@ from lowrank_ar.model import (
     LINK_CLAMP,
     LinkFunction,
     ParameterMatrix,
-    RegressorWindow,
     SequenceCollection,
     apply_link,
-    build_regressor,
-    predict,
 )
 
 from conftest import make_collection
@@ -104,25 +101,10 @@ def test_weights_for_is_row_major(rng):
     assert np.array_equal(r0.reshape(-1), data[:, 0])
 
 
-def test_from_weights_round_trip(rng):
-    c, d = 2, 2
-    mats = [rng.standard_normal((c, c * d + 1)) for _ in range(3)]
-    params = ParameterMatrix.from_weights(mats, channel_count=c, order=d)
-    for i, m in enumerate(mats):
-        assert np.array_equal(params.weights_for(i), m)
-
-
 def test_zeros_factory():
     params = ParameterMatrix.zeros(channel_count=3, order=4, n_sequences=5)
     assert params.data.shape == (3 * 3 * 4 + 3, 5)
     assert not params.data.any()
-
-
-def test_regressor_window_validation():
-    with pytest.raises(ValueError):
-        RegressorWindow(values=np.array([0.5, 1.0, 2.0]), order=2, channel_count=1)
-    with pytest.raises(ValueError):
-        RegressorWindow(values=np.ones(4), order=2, channel_count=1)
 
 
 # ---------------------------------------------------------------- links
@@ -199,51 +181,3 @@ def test_softmax_is_monotone_blockwise(x, y):
     xv, yv = np.array(x), np.array(y)
     gap = apply_link(link, xv, block_size=3) - apply_link(link, yv, block_size=3)
     assert float(gap @ (xv - yv)) >= -1e-12
-
-
-# ---------------------------------------------------------------- regressors
-
-
-def test_build_regressor_layout():
-    # two channels, values chosen so every slot is distinguishable
-    seq = np.array([[11.0, 12.0, 13.0, 14.0], [21.0, 22.0, 23.0, 24.0]])
-    xi = build_regressor(seq, t=3, d=2)
-    # bias, then step t-1 = 2 (both channels), then step t-2 = 1
-    assert np.array_equal(xi.values, [1.0, 12.0, 22.0, 11.0, 21.0])
-    assert xi.order == 2
-    assert xi.channel_count == 2
-
-
-def test_build_regressor_time_bounds():
-    seq = np.arange(12.0).reshape(1, 12)
-    with pytest.raises(IndexError):
-        build_regressor(seq, t=2, d=2)
-    with pytest.raises(IndexError):
-        build_regressor(seq, t=13, d=2)
-    assert build_regressor(seq, t=3, d=2).values[1] == seq[0, 1]
-    assert build_regressor(seq, t=12, d=2).values[1] == seq[0, 10]
-
-
-def test_predict_matches_manual_computation(rng):
-    coll = make_collection(rng, n=2, c=1, t_len=10)
-    params = ParameterMatrix(rng.standard_normal((3, 2)), channel_count=1, order=2)
-    t = 5
-    out = predict(params, coll, t)
-    for i, seq in enumerate(coll.sequences):
-        xi = np.array([1.0, seq[0, t - 2], seq[0, t - 3]])
-        assert np.isclose(out[i], params.data[:, i] @ xi)
-
-
-def test_predict_applies_link(rng):
-    coll = make_collection(rng, n=2, c=1, t_len=10)
-    params = ParameterMatrix(rng.standard_normal((3, 2)), channel_count=1, order=2)
-    ident = predict(params, coll, 6)
-    logi = predict(params, coll, 6, link=LinkFunction("logistic"))
-    assert np.allclose(logi, 1.0 / (1.0 + np.exp(-ident)))
-
-
-def test_predict_shape_mismatch(rng):
-    coll = make_collection(rng, n=2, c=1, t_len=10)
-    wrong_n = ParameterMatrix(np.zeros((3, 3)), channel_count=1, order=2)
-    with pytest.raises(ValueError):
-        predict(wrong_n, coll, 5)
