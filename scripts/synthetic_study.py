@@ -15,8 +15,7 @@ import time
 
 import numpy as np
 
-from lowrank_ar.study import recovery_run
-from lowrank_ar.synthetic import gen_benchmark, standard_class_specs
+from lowrank_ar.study import desk_study
 
 
 def main():
@@ -28,21 +27,11 @@ def main():
     parser.add_argument("--t-len", type=int, default=250)
     args = parser.parse_args()
 
-    pool = standard_class_specs(
-        d=args.d, n_per_class=args.n_per_class, t_len=args.t_len, noise_var=0.02
-    )
-    master = np.random.default_rng(args.seed)
-    combos = [
-        sorted(master.choice(len(pool), size=3, replace=False).tolist())
-        for _ in range(args.runs)
-    ]
-
     print(f"{'combo':<12} {'err unc':>8} {'err opt':>8} {'ratio':>6} "
           f"{'lambda':>8} {'ari':>6} {'rank':>9}")
     rows = []
     t0 = time.perf_counter()
-    for combo in combos:
-        row = recovery_run(*gen_benchmark([pool[i] for i in combo], master))
+    for combo, row in desk_study(args.seed, args.runs, args.d, args.n_per_class, args.t_len):
         rows.append(row)
         print(
             f"{str(combo):<12} {row.err_unconstrained:8.4f} {row.err_best:8.4f} "

@@ -5,7 +5,11 @@ writes a manifest.json echoing the fully resolved configuration (defaults
 included) into the output directory. Rerunning any command from its
 manifest reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 2 configuration or input error, 3 numerical failure.
+embed and sweep fit through one radius path per collection (an
+evalkit.LambdaProblem), which solves each radius once.
+
+Exit codes: 0 success, 2 configuration or input error, 3 numerical failure
+(a zero unconstrained fit among them: it leaves no radius to choose).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from lowrank_ar import dataio, encoders
 from lowrank_ar.embedding import approx_rank, factorize, read_embedding_csv, write_embedding_csv
 from lowrank_ar.evalkit import (
+    SEARCH_STRATEGIES,
     LambdaProblem,
     accuracy_and_macro_f1,
     ari,
@@ -32,7 +37,6 @@ from lowrank_ar.evalkit import (
 )
 from lowrank_ar.field import EmpiricalField, FieldSpec
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
-from lowrank_ar.nuclear import nuclear_norm
 from lowrank_ar.solver import ADMM_MAX_ITERS, SolverConfig, SolverError, solve, write_history_csv
 from lowrank_ar.synthetic import (
     GenClassSpec,
@@ -394,25 +398,6 @@ def _solver_config(config: dict, lambda_: float) -> SolverConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _solve_factory(collection: SequenceCollection, config: dict):
-    """solve_fn(lambda) plus the per-lambda solver states, keyed by %.17g.
-
-    Full-horizon evaluators are stateless and shared; the stochastic mode
-    rebuilds one per solve so every lambda sees the same window draws.
-    """
-    shared = _make_evaluator(collection, config)
-    stochastic = shared.spec.mode == "stochastic-subwindow"
-    states: dict = {}
-
-    def solve_fn(lam: float) -> ParameterMatrix:
-        evaluator = _make_evaluator(collection, config) if stochastic else shared
-        params, state = solve(evaluator, _solver_config(config, lam))
-        states[_LAMBDA_FMT % lam] = state
-        return params
-
-    return solve_fn, states
-
-
 def _load_truth(config: dict, collection: SequenceCollection) -> np.ndarray | None:
     if config["truth_path"] is None:
         return None
@@ -425,7 +410,7 @@ def _load_truth(config: dict, collection: SequenceCollection) -> np.ndarray | No
 def _search_settings(config: dict) -> dict | None:
     raw = config.get("search")
     lam = config["lambda"]
-    if raw is None and isinstance(lam, str) and lam in ("bisect-to-rank1", "grid", "brent"):
+    if raw is None and isinstance(lam, str) and lam in SEARCH_STRATEGIES:
         raw = {"strategy": lam}
     if raw is None:
         return None
@@ -436,6 +421,8 @@ def _search_settings(config: dict) -> dict | None:
         if key not in settings:
             raise ConfigError(f"unknown search key {key!r}")
         settings[key] = value
+    if settings["strategy"] not in SEARCH_STRATEGIES:
+        raise ConfigError(f"search strategy must be one of {SEARCH_STRATEGIES}")
     return settings
 
 
@@ -466,6 +453,36 @@ def _search_objectives(collection, truth, config) -> dict:
     return objectives
 
 
+def _radius_path(collection: SequenceCollection, config: dict, truth):
+    """The radius path, each solved radius's SolverState, and the field it reads.
+
+    The full-horizon field is shared; stochastic mode builds a fresh one per
+    call, so every radius and every sweep loss sees the same window draws.
+    """
+    shared = _make_evaluator(collection, config)
+    stochastic = shared.spec.mode == "stochastic-subwindow"
+    states: dict = {}
+
+    def evaluator() -> EmpiricalField:
+        return _make_evaluator(collection, config) if stochastic else shared
+
+    def solve_fn(lam: float) -> ParameterMatrix:
+        params, states[lam] = solve(evaluator(), _solver_config(config, lam))
+        return params
+
+    problem = LambdaProblem(
+        solve_fn=solve_fn, objectives=_search_objectives(collection, truth, config)
+    )
+    return problem, states, evaluator
+
+
+def _upper(problem: LambdaProblem) -> float:
+    try:  # a zero unconstrained fit leaves no radius to choose: a numerical failure
+        return problem.upper
+    except ValueError as exc:
+        raise SolverError(str(exc)) from None
+
+
 def _write_search_csv(result, states: dict, path: Path) -> None:
     """One row per radius the search scored, in order, with how its solve ended.
 
@@ -475,7 +492,7 @@ def _write_search_csv(result, states: dict, path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("lambda,score,iterations,termination\n")
         for lam, score in zip(result.lambdas_tried, result.scores):
-            state = states.get(_LAMBDA_FMT % lam)
+            state = states.get(lam)
             solved = ["", ""] if state is None else [str(state.t), state.termination]
             fh.write(",".join([_LAMBDA_FMT % lam, _LAMBDA_FMT % score, *solved]) + "\n")
 
@@ -485,15 +502,12 @@ def cmd_embed(config: dict) -> int:
     config["link"] = _resolve_link(config, collection)
     out = _out_dir(config)
     truth = _load_truth(config, collection)
-    solve_fn, states = _solve_factory(collection, config)
+    problem, states, _ = _radius_path(collection, config, truth)
     search = _search_settings(config)
 
     start = time.perf_counter()
     if search is not None:
-        problem = LambdaProblem(
-            solve_fn=solve_fn,
-            objectives=_search_objectives(collection, truth, config),
-        )
+        _upper(problem)
         try:
             result = lambda_search(
                 problem,
@@ -508,7 +522,7 @@ def cmd_embed(config: dict) -> int:
         _write_search_csv(result, states, out / "search.csv")
     else:
         lam = _parse_lambda(config["lambda"])
-        params = solve_fn(lam)
+        params = problem.solve(lam)
     runtime = time.perf_counter() - start
     if lam > 0 and not np.any(params.data):
         raise SolverError(f"the fit at radius lambda = {_LAMBDA_FMT % lam} collapsed "
@@ -517,7 +531,7 @@ def cmd_embed(config: dict) -> int:
     embedding = factorize(params, ids=list(collection.ids))
     write_embedding_csv(embedding, out / "embeddings.csv", labels=collection.labels)
     # bisect can settle on lambda = 0 (the zero matrix) without a solve
-    state = states.get(_LAMBDA_FMT % lam)
+    state = states.get(lam)
     write_history_csv(state.history if state is not None else [], out / "history.csv")
     if roles is not None:
         dataio.write_split_csv(collection.ids, roles, out / "split.csv")
@@ -610,13 +624,8 @@ def cmd_eval(config: dict) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_lambdas(config: dict, solve_fn) -> np.ndarray:
-    upper = config["upper"]
-    if upper is None:
-        unconstrained = solve_fn(math.inf)
-        upper = nuclear_norm(unconstrained.data)
-        if upper <= 0:
-            raise SolverError("unconstrained solution is zero; sweep bracket is empty")
+def _sweep_lambdas(config: dict, problem: LambdaProblem) -> np.ndarray:
+    upper = config["upper"] if config["upper"] is not None else _upper(problem)
     lower = config["lower"] if config["lower"] is not None else 1e-2 * upper
     if not 0 < lower < upper:
         raise ConfigError(f"need 0 < lower < upper, got [{lower}, {upper}]")
@@ -628,9 +637,7 @@ def cmd_sweep(config: dict) -> int:
     config["link"] = _resolve_link(config, collection)
     out = _out_dir(config)
     truth = _load_truth(config, collection)
-    solve_fn, _ = _solve_factory(collection, config)
-    stochastic = config["window_g"] is not None
-    evaluator = None if stochastic else _make_evaluator(collection, config)
+    problem, _, evaluator = _radius_path(collection, config, truth)
     labels = np.asarray(collection.labels) if collection.labels is not None else None
     k = config["k"]
     if k is None and labels is not None:
@@ -645,22 +652,20 @@ def cmd_sweep(config: dict) -> int:
         if rows and rows[0] == header:
             done = {row[0]: row for row in rows[1:]}
 
-    lambdas = _sweep_lambdas(config, solve_fn)
+    lambdas = _sweep_lambdas(config, problem)
     table: list = []
     for index, lam in enumerate(lambdas.tolist()):
         key = _LAMBDA_FMT % lam
         if key in done:
             table.append(done[key])
             continue
-        params = solve_fn(lam)
-        # fresh evaluator per row in stochastic mode keeps rows resume-invariant
-        loss_eval = _make_evaluator(collection, config) if stochastic else evaluator
-        loss = loss_eval.loss(params.data)
+        params = problem.solve(lam)
+        # a fresh evaluator per row in stochastic mode keeps rows resume-invariant
+        loss = evaluator().loss(params.data)
         embedding = factorize(params, ids=list(collection.ids))
         row = [key, _LAMBDA_FMT % loss, "", str(embedding.approx_rank), ""]
         if truth is not None:
-            err = reconstruction_error(truth, _lag_block(params, collection.channel_count))
-            row[2] = _LAMBDA_FMT % err
+            row[2] = _LAMBDA_FMT % problem.objective("reconstruction-error", params)
         if labels is not None:
             part = kmeans(
                 embedding.coordinates, int(k),

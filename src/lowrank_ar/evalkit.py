@@ -1,5 +1,8 @@
 """Clustering and classification evaluation, plus penalty-level search.
 
+The search walks a LambdaProblem, the radius path of one collection: it
+solves each radius once, keeps every fit and owns the bracket top, upper.
+
 Points are always columns: an r x N matrix holds N points in R^r, matching
 the embedding module's coordinate layout. All metrics are hand-rolled so
 tie-breaking and degenerate-case conventions are pinned down exactly rather
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize
@@ -22,7 +26,6 @@ from lowrank_ar.nuclear import nuclear_norm
 KNN_GRID = (1, 2, 4, 8, 16)
 CV_FOLDS = 5
 SEARCH_STRATEGIES = ("bisect-to-rank1", "grid", "brent")
-SEARCH_OBJECTIVES = ("train-metric", "reconstruction-error")
 
 _BISECT_REL_TOL = 1e-2
 _BRENT_ABS_TOL = 1e-3
@@ -308,18 +311,33 @@ def reconstruction_error(true_b, est_b) -> float:
 
 @dataclass
 class LambdaProblem:
-    """A solvable family over penalty levels plus named scoring functions.
+    """The radius path of one collection: its fits indexed by nuclear radius.
 
-    solve_fn maps a radius (math.inf allowed) to a ParameterMatrix.
-    objectives maps objective names to functions of the solution returning
-    a finite score where lower is better.
+    solve_fn maps a radius (math.inf allowed) to a ParameterMatrix. solve
+    calls it at most once per float(radius) and keeps the fit in fits, so a
+    search, a sweep and a final embed on one problem share every solve.
+    upper is the top of every radius bracket, the nuclear norm of the
+    unconstrained fit solve(inf). objectives maps objective names to
+    functions of a fit returning a finite score where lower is better.
     """
 
     solve_fn: object
     objectives: dict = field(default_factory=dict)
+    fits: dict = field(default_factory=dict, init=False, repr=False)
 
     def solve(self, lambda_: float) -> ParameterMatrix:
-        return self.solve_fn(lambda_)
+        key = float(lambda_)
+        if key not in self.fits:
+            self.fits[key] = self.solve_fn(key)
+        return self.fits[key]
+
+    @cached_property
+    def upper(self) -> float:
+        """||solve(inf)||_*; raises ValueError when the unconstrained fit is zero."""
+        upper = nuclear_norm(self.solve(math.inf).data)
+        if upper <= 0:
+            raise ValueError("the unconstrained fit is zero, so no radius is left to choose")
+        return upper
 
     def objective(self, name: str, params: ParameterMatrix) -> float:
         if name not in self.objectives:
@@ -350,56 +368,44 @@ def lambda_search(
     n_points: int = 20,
     tol: float = _BRENT_ABS_TOL,
 ) -> LambdaSearchResult:
-    """Pick a nuclear-ball radius on the bracket [0, ||B_unconstrained||_*].
+    """Pick a nuclear-ball radius on the bracket [0, problem.upper].
 
     bisect-to-rank1 returns the largest radius whose solution still has
     approximate rank 1 (relative bracket tolerance 1e-2). grid sweeps
     n_points log-spaced radii and keeps the best-scoring solution among
     those with approximate rank below full. brent first scores the
-    unconstrained fit (recorded at lambda = inf, with no further solve),
-    then minimizes the objective over the bracket with scipy's bounded
-    scalar minimizer at absolute tolerance tol, and returns the best score
-    seen, so it never returns worse than a fit it has scored.
+    unconstrained fit (recorded at lambda = inf), then minimizes the
+    objective over the bracket with scipy's bounded scalar minimizer at
+    absolute tolerance tol, and returns the best score seen, so it never
+    returns worse than a fit it has scored.
     """
     if strategy not in SEARCH_STRATEGIES:
         raise ValueError(f"strategy must be one of {SEARCH_STRATEGIES}")
-    cache: dict = {}
-
-    def solve_at(lam: float) -> ParameterMatrix:
-        key = float(lam)
-        if key not in cache:
-            cache[key] = problem.solve(key)
-        return cache[key]
-
+    upper = problem.upper
     unconstrained = problem.solve(math.inf)
-    upper = nuclear_norm(unconstrained.data)
-    if upper <= 0:
-        raise ValueError("unconstrained solution is zero; nothing to search")
-
     tried: list = []
     scores: list = []
 
     if strategy == "bisect-to-rank1":
         lo, hi = 0.0, upper
-        # radius 0 admits only the zero matrix; no solve needed
-        lo_params = ParameterMatrix.zeros(
-            unconstrained.channel_count, unconstrained.order, unconstrained.n_sequences
-        )
-        rank_hi = _solution_rank(solve_at(hi))
+        rank_hi = _solution_rank(problem.solve(hi))
         tried += [lo, hi]
         scores += [0.0, float(rank_hi)]
         if rank_hi <= 1:
-            return LambdaSearchResult(tried, scores, hi, solve_at(hi))
+            return LambdaSearchResult(tried, scores, hi, problem.solve(hi))
         while hi - lo > _BISECT_REL_TOL * upper:
             mid = 0.5 * (lo + hi)
-            params = solve_at(mid)
-            rank = _solution_rank(params)
+            rank = _solution_rank(problem.solve(mid))
             tried.append(mid)
             scores.append(float(rank))
             if rank <= 1:
-                lo, lo_params = mid, params
+                lo = mid
             else:
                 hi = mid
+        # radius 0 admits only the zero matrix; no solve needed
+        lo_params = problem.solve(lo) if lo > 0 else ParameterMatrix.zeros(
+            unconstrained.channel_count, unconstrained.order, unconstrained.n_sequences
+        )
         if _solution_rank(lo_params) != 1:
             warnings.warn("no radius with approximate rank exactly 1 was found")
         return LambdaSearchResult(tried, scores, lo, lo_params)
@@ -409,7 +415,7 @@ def lambda_search(
         full = min(unconstrained.data.shape)
         best_lam, best_score, best_params = None, math.inf, None
         for lam in lambdas.tolist():
-            params = solve_at(lam)
+            params = problem.solve(lam)
             score = problem.objective(objective, params)
             tried.append(lam)
             scores.append(score)
@@ -417,16 +423,12 @@ def lambda_search(
                 best_lam, best_score, best_params = lam, score, params
         if best_lam is None:
             warnings.warn("no grid solution dropped below full rank; using best score")
-            best_idx = int(np.argmin(scores))
-            best_lam = tried[best_idx]
-            best_params = solve_at(best_lam)
+            best_lam = tried[int(np.argmin(scores))]
+            best_params = problem.solve(best_lam)
         return LambdaSearchResult(tried, scores, best_lam, best_params)
 
-    cache[math.inf] = unconstrained
-
     def scalar_objective(lam: float) -> float:
-        params = solve_at(lam)
-        score = problem.objective(objective, params)
+        score = problem.objective(objective, problem.solve(lam))
         tried.append(float(lam))
         scores.append(score)
         return score
@@ -439,4 +441,4 @@ def lambda_search(
     if float(result.x) not in tried:
         scalar_objective(float(result.x))
     best_lam = tried[int(np.argmin(scores))]
-    return LambdaSearchResult(tried, scores, best_lam, solve_at(best_lam))
+    return LambdaSearchResult(tried, scores, best_lam, problem.solve(best_lam))

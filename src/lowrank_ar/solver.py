@@ -87,15 +87,13 @@ class HistoryRecord:
 
 @dataclass
 class SolverState:
-    """Final iterates, the per-iteration history and why the solve ended.
+    """Final aggregate, the per-iteration history and why the solve ended.
 
     termination is "stop-tol" (field norm under config.stop_tol),
     "converged" (splitting residuals under tolerance), "slack" (the
     unconstrained fit already lies in the ball) or "iteration-cap".
     """
 
-    iterate: np.ndarray
-    candidate: np.ndarray
     aggregate: np.ndarray
     kappa: float
     gamma: float
@@ -146,8 +144,8 @@ def mirror_descent(field_fn, geom: NuclearBallGeometry, config: SolverConfig, lo
             break
     aggregate = weighted / weight_total
     return SolverState(
-        iterate=b, candidate=b, aggregate=aggregate, kappa=config.kappa0,
-        gamma=gamma, t=history[-1].iteration, history=history, termination=termination,
+        aggregate=aggregate, kappa=config.kappa0, gamma=gamma,
+        t=history[-1].iteration, history=history, termination=termination,
     )
 
 
@@ -158,7 +156,6 @@ def mirror_prox_backtracking(field_fn, geom: NuclearBallGeometry, config: Solver
             f"config.mode is {config.mode!r}, expected 'mirror-prox-backtracking'"
         )
     r = np.zeros((geom.rows, geom.cols))
-    b_next = r
     aggregate = np.zeros_like(r)
     kappa = config.kappa0
     gamma = 1.0 / (2.0 * kappa)
@@ -201,8 +198,8 @@ def mirror_prox_backtracking(field_fn, geom: NuclearBallGeometry, config: Solver
             termination = "stop-tol"
             break
     return SolverState(
-        iterate=r, candidate=b_next, aggregate=aggregate, kappa=kappa,
-        gamma=gamma, t=history[-1].iteration, history=history, termination=termination,
+        aggregate=aggregate, kappa=kappa, gamma=gamma,
+        t=history[-1].iteration, history=history, termination=termination,
     )
 
 
@@ -299,7 +296,6 @@ def constrained_least_squares(
     if math.isinf(radius) or nuclear_norm(unconstrained.data) <= radius:
         # constraint slack at the unconstrained optimum: nothing to do
         state = SolverState(
-            iterate=unconstrained.data, candidate=unconstrained.data,
             aggregate=unconstrained.data, kappa=0.0, gamma=0.0, t=0, history=[],
             termination="slack",
         )
@@ -357,8 +353,8 @@ def constrained_least_squares(
     params = ParameterMatrix(_finite_or_raise(z.T, "splitting iterate"), c, order)
     last = history[-1]  # rho may have been rebalanced after z was produced
     state = SolverState(
-        iterate=params.data, candidate=b.T, aggregate=params.data, kappa=last.kappa,
-        gamma=last.gamma, t=iteration, history=history, termination=termination,
+        aggregate=params.data, kappa=last.kappa, gamma=last.gamma,
+        t=iteration, history=history, termination=termination,
     )
     return params, state
 

@@ -1,16 +1,18 @@
-"""Parameter recovery on one synthetic benchmark, as the studies run it.
+"""Parameter recovery on synthetic benchmarks, as the studies run it.
 
 Sequences are z-normalized before fitting (the lag structure is scale
-invariant and the intercept absorbs the centering). recovery_run fits the
-unconstrained per-sequence least-squares baseline, Brent-searches the
-nuclear radius that minimizes reconstruction error against the generating
-coefficients with the exact constrained solver, embeds the best fit and
-clusters it with k-means. radius_sweep scores the exact constrained fit on
-a geometric grid of radii instead and embeds the best one.
+invariant and the intercept absorbs the centering). Each benchmark gets one
+radius path (an evalkit.LambdaProblem) of exact constrained fits, scored by
+reconstruction error against the generating coefficients; its fit at radius
+inf is the unconstrained least-squares baseline. recovery_run Brent-searches
+the path, embeds the best fit and clusters it with k-means, and desk_study
+runs it on random 3-class benchmarks. radius_sweep scores the path on a
+geometric grid of radii instead and embeds the best one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,8 @@ from lowrank_ar.embedding import approx_rank, factorize, pca_project
 from lowrank_ar.evalkit import LambdaProblem, ari, kmeans, lambda_search, reconstruction_error
 from lowrank_ar.measurement import enumerate_slices
 from lowrank_ar.model import ParameterMatrix, SequenceCollection
-from lowrank_ar.nuclear import nuclear_norm
-from lowrank_ar.solver import constrained_least_squares, least_squares_unconstrained
+from lowrank_ar.solver import constrained_least_squares
+from lowrank_ar.synthetic import gen_benchmark, standard_class_specs
 
 
 def znorm(collection: SequenceCollection) -> SequenceCollection:
@@ -45,36 +47,54 @@ class RecoveryRun:
     rank_best: int
 
 
-def recovery_run(collection: SequenceCollection, truth: ParameterMatrix) -> RecoveryRun:
-    """OLS, Brent radius search, factorize, then k-means (seed 0, 10 restarts).
-
-    The AR order is the truth's, and k-means looks for one cluster per label.
-    """
+def _radius_path(collection: SequenceCollection, truth: ParameterMatrix) -> LambdaProblem:
+    """Exact constrained fits of the z-normalized collection, scored on the truth's lags."""
     d = truth.order
     slices = enumerate_slices(znorm(collection), d)
     truth_lag = truth.data[1:]
-
-    ols = least_squares_unconstrained(slices, 1, d)
-    problem = LambdaProblem(
+    return LambdaProblem(
         solve_fn=lambda lam: constrained_least_squares(slices, 1, d, lam)[0],
         objectives={
             "reconstruction-error": lambda p: reconstruction_error(truth_lag, p.data[1:])
         },
     )
+
+
+def recovery_run(collection: SequenceCollection, truth: ParameterMatrix) -> RecoveryRun:
+    """OLS, Brent radius search, factorize, then k-means (seed 0, 10 restarts).
+
+    The AR order is the truth's, and k-means looks for one cluster per label.
+    """
+    problem = _radius_path(collection, truth)
     result = lambda_search(problem, strategy="brent", objective="reconstruction-error")
-    best = result.best_params
+    ols, best = problem.solve(math.inf), result.best_params
 
     emb = factorize(best, ids=list(collection.ids))
     n_clusters = len(set(collection.labels))
     part = kmeans(emb.coordinates, n_clusters, np.random.default_rng(0), restarts=10)
     return RecoveryRun(
-        err_unconstrained=reconstruction_error(truth_lag, ols.data[1:]),
-        err_best=reconstruction_error(truth_lag, best.data[1:]),
+        err_unconstrained=problem.objective("reconstruction-error", ols),
+        err_best=problem.objective("reconstruction-error", best),
         best_lambda=result.best_lambda,
         ari=ari(collection.labels, part.assignments),
         rank_unconstrained=approx_rank(np.linalg.svd(ols.data, compute_uv=False)),
         rank_best=approx_rank(np.linalg.svd(best.data, compute_uv=False)),
     )
+
+
+def desk_study(seed: int = 3, runs: int = 10, d: int = 15, n_per_class: int = 60, t_len: int = 250):
+    """Yields (classes, RecoveryRun) for runs random 3-class benchmarks in turn.
+
+    One generator draws every class combination first, then each benchmark.
+    The defaults are the criterion-07 study.
+    """
+    pool = standard_class_specs(d=d, n_per_class=n_per_class, t_len=t_len, noise_var=0.02)
+    master = np.random.default_rng(seed)
+    combos = [
+        sorted(master.choice(len(pool), size=3, replace=False).tolist()) for _ in range(runs)
+    ]
+    for combo in combos:
+        yield combo, recovery_run(*gen_benchmark([pool[i] for i in combo], master))
 
 
 @dataclass(frozen=True)
@@ -101,12 +121,10 @@ def radius_sweep(
     error is taken against the truth's lag rows and the AR order is the
     truth's.
     """
-    d = truth.order
-    slices = enumerate_slices(znorm(collection), d)
-    upper = nuclear_norm(least_squares_unconstrained(slices, 1, d).data)
-    lambdas = np.geomspace(lo * upper, hi * upper, points)
-    fits = [constrained_least_squares(slices, 1, d, float(lam))[0] for lam in lambdas]
-    errors = np.array([reconstruction_error(truth.data[1:], p.data[1:]) for p in fits])
+    problem = _radius_path(collection, truth)
+    lambdas = np.geomspace(lo * problem.upper, hi * problem.upper, points)
+    fits = [problem.solve(lam) for lam in lambdas]
+    errors = np.array([problem.objective("reconstruction-error", p) for p in fits])
     best = int(np.argmin(errors))
     _, explained = pca_project(factorize(fits[best]).coordinates, 2)
     ranks = [approx_rank(np.linalg.svd(p.data, compute_uv=False)) for p in fits]

@@ -36,7 +36,8 @@ from lowrank_ar.solver import (
     least_squares_unconstrained,
     solve,
 )
-from lowrank_ar.study import radius_sweep, recovery_run
+from lowrank_ar.study import desk_study as desk_study_runs
+from lowrank_ar.study import radius_sweep
 from lowrank_ar.synthetic import GenClassSpec, gen_benchmark, standard_class_specs
 
 
@@ -200,15 +201,7 @@ def test_criterion_06_slack_ball_matches_ols(report):
 def desk_study():
     """Ten random 3-class benchmarks, exact solver, error-optimal radius."""
     t0 = time.perf_counter()
-    pool = standard_class_specs(d=15, n_per_class=60, t_len=250, noise_var=0.02)
-    master = np.random.default_rng(3)
-    combos = [
-        sorted(master.choice(10, size=3, replace=False).tolist()) for _ in range(10)
-    ]
-    runs = [
-        recovery_run(*gen_benchmark([pool[i] for i in combo], master))
-        for combo in combos
-    ]
+    runs = [run for _, run in desk_study_runs()]
     return {
         "wins": sum(r.err_best <= 0.6 * r.err_unconstrained for r in runs),
         "mean_ratio": float(np.mean([r.err_best / r.err_unconstrained for r in runs])),

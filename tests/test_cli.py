@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -341,7 +343,15 @@ def test_eval_classification_requires_split(tmp_path, embedded):
 # ---------------------------------------------------------------- sweep
 
 
-def test_sweep_and_resume(tmp_path, synth_dir):
+def test_sweep_and_resume(tmp_path, synth_dir, monkeypatch):
+    # one full-horizon design for solves and losses; the explicit upper
+    # leaves the unconstrained fit unsolved
+    designs, radii = [], []
+    field_module = sys.modules["lowrank_ar.field"]
+    enumerate_slices, solve = field_module.enumerate_slices, cli.solve
+    monkeypatch.setattr(field_module, "enumerate_slices",
+                        lambda *a: designs.append(a) or enumerate_slices(*a))
+    monkeypatch.setattr(cli, "solve", lambda ev, c: radii.append(c.lambda_) or solve(ev, c))
     cfg = tmp_path / "cfg.json"
     write_json(
         embed_config(
@@ -356,6 +366,8 @@ def test_sweep_and_resume(tmp_path, synth_dir):
     )
     out = tmp_path / "sweep"
     assert run(["sweep", "--config", cfg, "--out", out]) == 0
+    assert len(designs) == 1
+    assert len(radii) == len(set(radii)) == 3 and math.inf not in radii
     first = (out / "sweep.csv").read_bytes()
     lines = first.decode().splitlines()
     assert lines[0] == "lambda,loss,reconstruction_error,approx_rank,ari"
@@ -369,6 +381,18 @@ def test_sweep_and_resume(tmp_path, synth_dir):
     # rerunning resumes from the existing rows and reproduces the file
     assert run(["sweep", "--config", cfg, "--out", out]) == 0
     assert (out / "sweep.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["embed", "sweep"])
+def test_zero_unconstrained_fit_exits_3(tmp_path, capsys, command):
+    zeros = [np.zeros((1, 30)) for _ in range(4)]
+    collection = SequenceCollection(sequences=zeros, ids=[f"z{i}" for i in range(4)])
+    write_collection_csv(collection, tmp_path / "data.csv")
+    extra = {"search": "brent"} if command == "embed" else {"n_points": 3}
+    cfg = tmp_path / "cfg.json"
+    write_json({"input": str(tmp_path / "data.csv"), "d": 2, "mode": "admm-ls", **extra}, cfg)
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 3
+    assert "unconstrained fit is zero" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_bracket(tmp_path, synth_dir):

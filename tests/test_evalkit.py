@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lowrank_ar.evalkit import (
     KNN_GRID,
+    SEARCH_STRATEGIES,
     LabeledPartition,
     LambdaProblem,
     accuracy_and_macro_f1,
@@ -298,13 +299,18 @@ def test_brent_returns_the_unconstrained_fit_when_it_scores_best():
 
 
 def test_search_caches_repeated_lambdas():
+    # one solve per radius across upper, the search and a later solve
     target = np.diag([3.0, 1.0])
-    problem, calls = projection_problem(
-        target, lambda p: reconstruction_error(0.5 * target, p.data)
-    )
-    lambda_search(problem, strategy="brent", tol=1e-3)
-    finite = [c for c in calls if math.isfinite(c)]
-    assert len(finite) == len(set(finite))
+    for strategy in SEARCH_STRATEGIES:
+        problem, calls = projection_problem(
+            target, lambda p: reconstruction_error(0.5 * target, p.data)
+        )
+        assert problem.upper == pytest.approx(4.0)
+        result = lambda_search(problem, strategy=strategy, n_points=8, tol=1e-3)
+        assert problem.solve(result.best_lambda) is result.best_params
+        assert problem.upper == pytest.approx(4.0)
+        assert calls[0] == math.inf
+        assert len(calls) == len(set(calls)) == len(problem.fits)
 
 
 def test_grid_keeps_best_rank_deficient_solution():
