@@ -37,7 +37,7 @@ from lowrank_ar.evalkit import (
 )
 from lowrank_ar.field import EmpiricalField, FieldSpec
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
-from lowrank_ar.solver import ADMM_MAX_ITERS, SolverConfig, SolverError, solve, write_history_csv
+from lowrank_ar.solver import SolverConfig, SolverError, solve, write_history_csv
 from lowrank_ar.synthetic import (
     GenClassSpec,
     UnstableCoefficientsError,
@@ -377,20 +377,17 @@ def _make_evaluator(collection: SequenceCollection, config: dict) -> EmpiricalFi
 
 def _solver_config(config: dict, lambda_: float) -> SolverConfig:
     """The solve's settings; iters = null leaves each solver its own cap."""
-    admm = config["mode"] == "admm-ls"
-    if admm:
+    if config["mode"] == "admm-ls":
         if config["link"] != "identity":
             raise ConfigError("mode admm-ls requires --link identity")
         if config["window_g"] is not None:
             raise ConfigError("mode admm-ls is incompatible with --window-g")
     iters = config["iters"]
-    if iters is None:
-        iters = ADMM_MAX_ITERS if admm else SolverConfig.max_iters
     try:
         return SolverConfig(
             mode=config["mode"],
             lambda_=lambda_,
-            max_iters=int(iters),
+            max_iters=None if iters is None else int(iters),
             kappa0=float(config["kappa0"]),
             stop_tol=config["stop_tol"],
         )

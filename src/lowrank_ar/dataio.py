@@ -34,7 +34,11 @@ def write_collection_csv(collection: SequenceCollection, path) -> None:
 
 
 def read_collection_csv(path, labels_path=None, kind: str = "real") -> SequenceCollection:
-    """Inverse of write_collection_csv; rows must be grouped by id in order."""
+    """Inverse of write_collection_csv; rows must be grouped by id in order.
+
+    Each id's t column must read 1, 2, ..., T, and a labels file must name
+    every id; otherwise ValueError names the offending file.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -48,11 +52,20 @@ def read_collection_csv(path, labels_path=None, kind: str = "real") -> SequenceC
             if seq_id not in rows:
                 rows[seq_id] = []
                 order.append(seq_id)
-            rows[seq_id].append([float(v) for v in row[2:]])
+            steps = rows[seq_id]
+            if row[1] != str(len(steps) + 1):
+                raise ValueError(
+                    f"{path}: id {seq_id!r} has t = {row[1]} where t = {len(steps) + 1} "
+                    "was expected (t must run 1..T in order)"
+                )
+            steps.append([float(v) for v in row[2:]])
     sequences = tuple(np.array(rows[sid]).T for sid in order)
     labels = None
     if labels_path is not None:
         by_id = read_labels_csv(labels_path)
+        missing = [sid for sid in order if sid not in by_id]
+        if missing:
+            raise ValueError(f"{labels_path}: no label for id {missing[0]!r}")
         labels = tuple(by_id[sid] for sid in order)
     return SequenceCollection(
         sequences=sequences, ids=tuple(order), labels=labels, kind=kind
@@ -117,12 +130,13 @@ def read_split_csv(path) -> dict:
 def read_ucr_file(path) -> tuple[list, list]:
     """Archive-style rows: label, v1, ..., vT separated by tabs or commas.
 
-    Returns (labels, series). Trailing NaN padding is trimmed per row.
+    Returns (labels, series). Trailing NaN padding is trimmed per row; a row
+    with no finite value raises ValueError naming the file and line.
     """
     labels: list = []
     series: list = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -131,6 +145,8 @@ def read_ucr_file(path) -> tuple[list, list]:
             labels.append(int(float(parts[0])))
             values = np.array([float(v) for v in parts[1:]])
             finite = np.isfinite(values)
+            if not finite.any():
+                raise ValueError(f"{path}: line {line_no} has no finite values")
             if not finite.all():
                 values = values[: int(np.nonzero(finite)[0][-1]) + 1]
             series.append(values)

@@ -14,11 +14,8 @@ softmax link; the collections carry kind="probability-simplex" accordingly.
 from __future__ import annotations
 
 import heapq
-import json
-import math
 import warnings
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -73,12 +70,6 @@ class HuffmanCode:
 
     def max_len(self) -> int:
         return max(len(w) for w in self.codebook.values())
-
-
-def load_default_frequencies() -> dict:
-    """Bundled English letter and space weight table (a-z plus space)."""
-    path = resources.files("lowrank_ar").joinpath("data/english_letter_frequencies.json")
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def corpus_frequencies(texts) -> dict:

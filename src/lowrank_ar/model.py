@@ -106,16 +106,12 @@ class SequenceCollection:
     def min_length(self) -> int:
         return min(s.shape[1] for s in self.sequences)
 
-    @property
-    def equal_length(self) -> bool:
-        return len({s.shape[1] for s in self.sequences}) == 1
-
 
 @dataclass(frozen=True)
 class ParameterMatrix:
     """Stacked per-sequence weights: column i is vec(R_i), row-major.
 
-    data has shape (C^2*d + C) x N. weights_for(i) undoes the vectorization.
+    data has shape (C^2*d + C) x N; data[:, i].reshape(C, C*d + 1) is R_i.
     """
 
     data: np.ndarray
@@ -137,11 +133,6 @@ class ParameterMatrix:
     @property
     def n_sequences(self) -> int:
         return self.data.shape[1]
-
-    def weights_for(self, i: int) -> np.ndarray:
-        """R_i as a (C, C*d+1) matrix."""
-        c, d = self.channel_count, self.order
-        return self.data[:, i].reshape(c, c * d + 1)
 
     @classmethod
     def zeros(cls, channel_count: int, order: int, n_sequences: int) -> "ParameterMatrix":
@@ -176,24 +167,3 @@ def _link_rows(link: LinkFunction, z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def apply_link(link: LinkFunction, z, block_size: int = 1) -> np.ndarray:
-    """Apply eta to a stacked vector; softmax acts on contiguous blocks.
-
-    block_size is the channel count C. Identity returns the values unchanged,
-    exponential and logistic act elementwise (inputs clamped to +-LINK_CLAMP),
-    softmax normalizes each length-C block to the simplex.
-    """
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("link input must be finite")
-    if block_size < 1:
-        raise ValueError("block_size must be positive")
-    if link.variant != "softmax":
-        return _link_rows(link, arr.copy())
-    flat = arr.reshape(-1)
-    if flat.shape[0] % block_size:
-        raise ValueError(f"length {flat.shape[0]} not divisible by block_size {block_size}")
-    out = _link_rows(link, flat.reshape(-1, block_size))
-    return out.reshape(arr.shape)

@@ -1,4 +1,4 @@
-"""Nuclear-ball geometry: capped-simplex projection and the prox step.
+"""The nuclear ball: capped-simplex projection and the prox step.
 
 The prox step at Z applied to X is the Euclidean projection of Z - X onto
 the nuclear ball {M : ||M||_* <= lambda}, the mirror step of the quadratic
@@ -11,38 +11,8 @@ and reassemble with a negated diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class NuclearBallGeometry:
-    """Nuclear ball of a fixed matrix shape and radius.
-
-    radius may be math.inf, the documented sentinel for an unconstrained run;
-    the prox then skips the projection entirely.
-    """
-
-    rows: int
-    cols: int
-    radius: float
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"matrix shape must be positive, got {self.rows}x{self.cols}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-
-    def check_shape(self, M: np.ndarray, name: str) -> np.ndarray:
-        arr = np.asarray(M, dtype=float)
-        if arr.shape != (self.rows, self.cols):
-            raise ValueError(
-                f"{name} has shape {arr.shape}, geometry expects {(self.rows, self.cols)}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} must be finite")
-        return arr
 
 
 def nuclear_norm(M) -> float:
@@ -77,20 +47,19 @@ def capped_simplex_project(sigma, radius: float) -> np.ndarray:
     return np.maximum(s - theta, 0.0)
 
 
-def prox_nuc(geom: NuclearBallGeometry, Z, X) -> np.ndarray:
-    """Prox step at Z applied to X over the nuclear ball.
+def prox_nuc(Z, X, radius: float) -> np.ndarray:
+    """Prox step at Z applied to X over the nuclear ball of the given radius.
 
     Computes Y' = X - Z, takes the SVD Y' = U diag(delta) V^T, projects
     delta onto the capped simplex, and returns U diag(-t) V^T, which is
     exactly the Euclidean projection of Z - X onto the ball. The output
-    always satisfies nuclear norm <= radius + 1e-9.
+    always satisfies nuclear norm <= radius + 1e-9. radius = math.inf, the
+    sentinel for an unconstrained run, skips the projection entirely.
     """
-    z = geom.check_shape(Z, "Z")
-    x = geom.check_shape(X, "X")
-    y = x - z
-    if math.isinf(geom.radius):
+    y = X - Z
+    if math.isinf(radius):
         # projection inactive: U diag(-delta) V^T reassembles to -Y' exactly
         return -y
     u, delta, vt = np.linalg.svd(y, full_matrices=False)
-    t = capped_simplex_project(delta, geom.radius)
+    t = capped_simplex_project(delta, radius)
     return (u * -t) @ vt

@@ -31,6 +31,10 @@ iteration calibrates it to the data scale in a few doublings.
 The history's loss column tracks the running aggregate, the field_norm
 column the field at the point where it was last evaluated. Every solve
 records why it ended in SolverState.termination.
+
+SolverConfig.max_iters = None, the default, leaves each method its own
+iteration cap (MIRROR_MAX_ITERS or ADMM_MAX_ITERS); SolverConfig.cap is the
+one place that decides it.
 """
 
 from __future__ import annotations
@@ -44,11 +48,12 @@ import numpy as np
 from lowrank_ar.field import EmpiricalField
 from lowrank_ar.measurement import SliceSet
 from lowrank_ar.model import ParameterMatrix
-from lowrank_ar.nuclear import NuclearBallGeometry, capped_simplex_project, nuclear_norm, prox_nuc
+from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm, prox_nuc
 
 _MODES = ("mirror-descent", "mirror-prox-backtracking", "admm-ls")
 _ADMM_TOL = 1e-10  # relative primal and dual residual at which the splitting stops
 ADMM_MAX_ITERS = 4000  # the splitting's own iteration cap
+MIRROR_MAX_ITERS = 256  # the mirror methods' own iteration cap
 _MAX_BACKTRACKS = 60  # kappa doublings per mirror-prox iteration before giving up
 
 
@@ -60,19 +65,26 @@ class SolverError(RuntimeError):
 class SolverConfig:
     mode: str = "mirror-prox-backtracking"
     lambda_: float = math.inf
-    max_iters: int = 256
+    max_iters: int | None = None
     kappa0: float = 1e-6
     stop_tol: float | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.max_iters < 1:
+        if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.kappa0 > 0:
             raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
         if not self.lambda_ > 0:
             raise ValueError(f"lambda_ must be positive, got {self.lambda_}")
+
+    @property
+    def cap(self) -> int:
+        """max_iters, or the mode's own iteration cap when it is None."""
+        if self.max_iters is not None:
+            return self.max_iters
+        return ADMM_MAX_ITERS if self.mode == "admm-ls" else MIRROR_MAX_ITERS
 
 
 @dataclass
@@ -87,16 +99,13 @@ class HistoryRecord:
 
 @dataclass
 class SolverState:
-    """Final aggregate, the per-iteration history and why the solve ended.
+    """Iteration count, the per-iteration history and why the solve ended.
 
     termination is "stop-tol" (field norm under config.stop_tol),
     "converged" (splitting residuals under tolerance), "slack" (the
     unconstrained fit already lies in the ball) or "iteration-cap".
     """
 
-    aggregate: np.ndarray
-    kappa: float
-    gamma: float
     t: int
     history: list[HistoryRecord]
     termination: str = "iteration-cap"
@@ -112,20 +121,17 @@ def _loss_or_nan(loss_fn, data: np.ndarray) -> float:
     return float(loss_fn(data)) if loss_fn is not None else float("nan")
 
 
-def mirror_descent(field_fn, geom: NuclearBallGeometry, config: SolverConfig, loss_fn=None):
-    """Plain mirror descent; returns SolverState with the gamma-weighted average."""
-    if config.mode != "mirror-descent":
-        raise ValueError(f"config.mode is {config.mode!r}, expected 'mirror-descent'")
-    b = np.zeros((geom.rows, geom.cols))
+def mirror_descent(field_fn, shape, config: SolverConfig, loss_fn=None):
+    """Plain mirror descent; returns (gamma-weighted average, SolverState)."""
+    b = np.zeros(shape)
     weighted = np.zeros_like(b)
     weight_total = 0.0
     history: list[HistoryRecord] = []
-    gamma = 1.0 / config.kappa0
     termination = "iteration-cap"
-    for k in range(1, config.max_iters + 1):
+    for k in range(1, config.cap + 1):
         g = _finite_or_raise(np.asarray(field_fn(b)), "field")
         gamma = 1.0 / (config.kappa0 * math.sqrt(k))
-        b = _finite_or_raise(prox_nuc(geom, b, gamma * g), "prox step")
+        b = _finite_or_raise(prox_nuc(b, gamma * g, config.lambda_), "prox step")
         weight_total += gamma
         weighted += gamma * b
         field_norm = float(np.linalg.norm(g))
@@ -142,32 +148,27 @@ def mirror_descent(field_fn, geom: NuclearBallGeometry, config: SolverConfig, lo
         if config.stop_tol is not None and field_norm < config.stop_tol:
             termination = "stop-tol"
             break
-    aggregate = weighted / weight_total
-    return SolverState(
-        aggregate=aggregate, kappa=config.kappa0, gamma=gamma,
-        t=history[-1].iteration, history=history, termination=termination,
-    )
+    state = SolverState(t=history[-1].iteration, history=history, termination=termination)
+    return weighted / weight_total, state
 
 
-def mirror_prox_backtracking(field_fn, geom: NuclearBallGeometry, config: SolverConfig, loss_fn=None):
-    """Extragradient iteration with doubling backtracking on kappa."""
-    if config.mode != "mirror-prox-backtracking":
-        raise ValueError(
-            f"config.mode is {config.mode!r}, expected 'mirror-prox-backtracking'"
-        )
-    r = np.zeros((geom.rows, geom.cols))
+def mirror_prox_backtracking(field_fn, shape, config: SolverConfig, loss_fn=None):
+    """Extragradient iteration with doubling backtracking on kappa.
+
+    Returns (running average of the candidates, SolverState).
+    """
+    r = np.zeros(shape)
     aggregate = np.zeros_like(r)
     kappa = config.kappa0
-    gamma = 1.0 / (2.0 * kappa)
     history: list[HistoryRecord] = []
     termination = "iteration-cap"
-    for t in range(1, config.max_iters + 1):
+    for t in range(1, config.cap + 1):
         psi_r = _finite_or_raise(np.asarray(field_fn(r)), "field")
         alpha = 2.0 / (t + 1)
         backtracks = 0
         while True:
             gamma = 1.0 / (2.0 * kappa)
-            b_next = _finite_or_raise(prox_nuc(geom, r, gamma * psi_r), "prox step")
+            b_next = _finite_or_raise(prox_nuc(r, gamma * psi_r, config.lambda_), "prox step")
             psi_b = _finite_or_raise(np.asarray(field_fn(b_next)), "field")
             lhs = float(np.linalg.norm(psi_b - psi_r))
             rhs = kappa * float(np.linalg.norm(b_next - r))
@@ -181,7 +182,7 @@ def mirror_prox_backtracking(field_fn, geom: NuclearBallGeometry, config: Solver
                     )
                 continue
             break
-        r = _finite_or_raise(prox_nuc(geom, r, gamma * psi_b), "prox step")
+        r = _finite_or_raise(prox_nuc(r, gamma * psi_b, config.lambda_), "prox step")
         aggregate = (1.0 - alpha) * aggregate + alpha * b_next
         field_norm = float(np.linalg.norm(psi_b))
         history.append(
@@ -197,10 +198,8 @@ def mirror_prox_backtracking(field_fn, geom: NuclearBallGeometry, config: Solver
         if config.stop_tol is not None and field_norm < config.stop_tol:
             termination = "stop-tol"
             break
-    return SolverState(
-        aggregate=aggregate, kappa=kappa, gamma=gamma,
-        t=history[-1].iteration, history=history, termination=termination,
-    )
+    state = SolverState(t=history[-1].iteration, history=history, termination=termination)
+    return aggregate, state
 
 
 def solve(evaluator: EmpiricalField, config: SolverConfig):
@@ -215,19 +214,12 @@ def solve(evaluator: EmpiricalField, config: SolverConfig):
             evaluator.channel_count,
             evaluator.spec.order,
             config.lambda_,
-            max_iters=config.max_iters,
+            max_iters=config.cap,
         )
-    geom = NuclearBallGeometry(
-        rows=evaluator.param_rows,
-        cols=evaluator.n_sequences,
-        radius=config.lambda_,
-    )
-    if config.mode == "mirror-descent":
-        state = mirror_descent(evaluator.field, geom, config, loss_fn=evaluator.loss)
-    else:
-        state = mirror_prox_backtracking(evaluator.field, geom, config, loss_fn=evaluator.loss)
-    params = ParameterMatrix(state.aggregate, evaluator.channel_count, evaluator.spec.order)
-    return params, state
+    method = mirror_descent if config.mode == "mirror-descent" else mirror_prox_backtracking
+    shape = (evaluator.param_rows, evaluator.n_sequences)
+    aggregate, state = method(evaluator.field, shape, config, loss_fn=evaluator.loss)
+    return ParameterMatrix(aggregate, evaluator.channel_count, evaluator.spec.order), state
 
 
 def _check_slices(slices: SliceSet, channel_count: int, order: int) -> None:
@@ -295,11 +287,7 @@ def constrained_least_squares(
     unconstrained = least_squares_unconstrained(slices, c, order)
     if math.isinf(radius) or nuclear_norm(unconstrained.data) <= radius:
         # constraint slack at the unconstrained optimum: nothing to do
-        state = SolverState(
-            aggregate=unconstrained.data, kappa=0.0, gamma=0.0, t=0, history=[],
-            termination="slack",
-        )
-        return unconstrained, state
+        return unconstrained, SolverState(t=0, history=[], termination="slack")
 
     normal = slices.normal_equations
     evals, evecs = slices.gram_eigen
@@ -351,12 +339,7 @@ def constrained_least_squares(
             rho /= 2.0
             u *= 2.0
     params = ParameterMatrix(_finite_or_raise(z.T, "splitting iterate"), c, order)
-    last = history[-1]  # rho may have been rebalanced after z was produced
-    state = SolverState(
-        aggregate=params.data, kappa=last.kappa, gamma=last.gamma,
-        t=iteration, history=history, termination=termination,
-    )
-    return params, state
+    return params, SolverState(t=iteration, history=history, termination=termination)
 
 
 def write_history_csv(history: list[HistoryRecord], path) -> None:

@@ -10,6 +10,7 @@ not noise. Those three stay red by design and document the gap; everything
 else must pass.
 """
 
+import importlib.util
 import os
 import time
 from pathlib import Path
@@ -281,36 +282,16 @@ _UCR = _ucr_dir()
 
 @pytest.mark.skipif(_UCR is None, reason="UCR archive not present locally")
 def test_criterion_09_ucr_spot_checks(report, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "ucr_benchmark", Path(__file__).resolve().parents[1] / "scripts" / "ucr_benchmark.py"
+    )
+    ucr_benchmark = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ucr_benchmark)
     t0 = time.perf_counter()
-    scores = {}
-    for name in ("Coffee", "GunPoint"):
-        cfg = tmp_path / f"{name}.json"
-        write_json(
-            {
-                "input": {
-                    "format": "ucr",
-                    "train_path": str(_UCR / name / f"{name}_TRAIN.tsv"),
-                    "test_path": str(_UCR / name / f"{name}_TEST.tsv"),
-                },
-                "d": 20,
-                "iters": 256,
-            },
-            cfg,
-        )
-        emb_dir = tmp_path / f"{name}_emb"
-        assert cli.main(["embed", "--config", str(cfg), "--out", str(emb_dir)]) == 0
-        eval_cfg = tmp_path / f"{name}_eval.json"
-        write_json(
-            {
-                "embeddings_path": str(emb_dir / "embeddings.csv"),
-                "split_path": str(emb_dir / "split.csv"),
-                "mode": "classification",
-            },
-            eval_cfg,
-        )
-        out = tmp_path / f"{name}_scores"
-        assert cli.main(["eval", "--config", str(eval_cfg), "--out", str(out)]) == 0
-        scores[name] = read_json(out / "metrics.json")["accuracy"]
+    scores = {
+        name: ucr_benchmark.run_dataset(_UCR, name, d=20, iters=256, work=tmp_path)["accuracy"]
+        for name in ("Coffee", "GunPoint")
+    }
     dt = time.perf_counter() - t0
     ok = scores["Coffee"] >= 1.0 - 1e-12 and scores["GunPoint"] >= 0.90 and dt < 600
     report("09", ok,

@@ -513,3 +513,28 @@ def test_unknown_input_key_exits_2(tmp_path, synth_dir):
     cfg = tmp_path / "cfg.json"
     write_json(config, cfg)
     assert run(["embed", "--config", cfg, "--out", tmp_path / "out"]) == 2
+
+
+def _bad_input(tmp_path, case):
+    """A config whose input file is malformed, and the name of that file."""
+    series = tmp_path / "series.csv"
+    series.write_text("id,t,c1\na,1,0.1\na,2,0.2\na,3,0.3\nb,1,0.4\nb,2,0.5\nb,3,0.6\n")
+    if case == "label-missing":
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\na,0\n")
+        return {"path": str(series), "labels_path": str(labels)}, labels.name
+    if case == "t-out-of-order":
+        series.write_text("id,t,c1\na,2,0.2\na,1,0.1\na,3,0.3\n")
+        return {"path": str(series)}, series.name
+    train = tmp_path / "TRAIN.tsv"
+    train.write_text("1\t0.5\t0.25\t-1.0\n2\tNaN\tNaN\tNaN\n")
+    return {"format": "ucr", "train_path": str(train)}, train.name
+
+
+@pytest.mark.parametrize("case", ["label-missing", "t-out-of-order", "ucr-all-nan-row"])
+def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
+    source, name = _bad_input(tmp_path, case)
+    cfg = tmp_path / "cfg.json"
+    write_json({"input": source, "d": 1, "iters": 4}, cfg)
+    assert run(["embed", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert name in capsys.readouterr().err

@@ -25,7 +25,6 @@ from lowrank_ar.encoders import (
     encode_signals,
     encode_symbolic,
     encode_text,
-    load_default_frequencies,
     one_hot,
 )
 
@@ -112,14 +111,6 @@ def test_code_validation():
     assert code.max_len() == 2
 
 
-def test_default_frequency_table():
-    freqs = load_default_frequencies()
-    assert set(freqs) == set(string.ascii_lowercase) | {" "}
-    assert all(w > 0 for w in freqs.values())
-    code = build_huffman(freqs)
-    assert code.kraft_sum() <= 1.0 + 1e-12
-
-
 def test_corpus_frequencies():
     assert corpus_frequencies(["aab", "bc"]) == {"a": 2, "b": 2, "c": 1}
 
@@ -134,8 +125,8 @@ def test_clean_text():
 
 
 def test_encode_decode_round_trip():
-    code = build_huffman(load_default_frequencies())
     text = "the quick brown fox jumps over the lazy dog"
+    code = build_huffman(corpus_frequencies([text]))
     symbols = encode_text(text, code)
     assert symbols.dtype == np.int8
     assert decode_symbols(symbols, code) == text

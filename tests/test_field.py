@@ -12,7 +12,7 @@ from lowrank_ar.model import (
     LinkFunction,
     ParameterMatrix,
     SequenceCollection,
-    apply_link,
+    _link_rows,
 )
 
 from conftest import make_collection, make_evaluator
@@ -27,7 +27,7 @@ def field_oracle(link, params, slices):
     for sl in slices:
         for i in range(params.n_sequences):
             xi = sl.regressors[i]
-            eta = apply_link(link, params.weights_for(i) @ xi, block_size=c)
+            eta = _link_rows(link, params.data[:, i].reshape(c, -1) @ xi)
             resid = sl.weight * eta - sl.target[i * c : (i + 1) * c]
             total[:, i] += sl.weight * np.outer(resid, xi).reshape(-1)
     return total / len(slices)
@@ -60,8 +60,8 @@ def simulate_linked_collection(rng, variant, c, d, n, t_len):
         for t in range(d, t_len):
             # bias, then steps t-1 .. t-d newest first, the channels of a step contiguous
             xi = np.concatenate(([1.0], arr[:, t - d : t][:, ::-1].T.reshape(-1)))
-            z = params.weights_for(i) @ xi
-            arr[:, t] = apply_link(link, z, block_size=c)
+            z = params.data[:, i].reshape(c, -1) @ xi
+            arr[:, t] = _link_rows(link, z)
         seqs.append(arr)
     coll = SequenceCollection(
         sequences=tuple(seqs),
@@ -95,7 +95,7 @@ def test_ls_loss_matches_loop(rng):
     expected = 0.0
     for sl in ev.slices:
         for i in range(params.n_sequences):
-            z = params.weights_for(i) @ sl.regressors[i]
+            z = params.data[:, i].reshape(2, -1) @ sl.regressors[i]
             expected += float(np.sum((sl.weight * z - sl.target[2 * i : 2 * i + 2]) ** 2))
     expected /= len(ev.slices)
     assert ls_loss(params, ev.slices) == pytest.approx(expected, rel=1e-12)

@@ -10,7 +10,7 @@ from lowrank_ar.model import (
     LinkFunction,
     ParameterMatrix,
     SequenceCollection,
-    apply_link,
+    _link_rows,
 )
 
 from conftest import make_collection
@@ -24,14 +24,13 @@ def test_collection_basic_properties(rng):
     assert coll.channel_count == 2
     assert coll.n_sequences == 3
     assert coll.min_length == 10
-    assert coll.equal_length
 
 
 def test_collection_ragged_lengths():
     seqs = (np.zeros((1, 5)), np.zeros((1, 8)))
     coll = SequenceCollection(sequences=seqs, ids=("a", "b"), labels=None, kind="real")
     assert coll.min_length == 5
-    assert not coll.equal_length
+    assert [s.shape[1] for s in coll.sequences] == [5, 8]
 
 
 def test_collection_locks_arrays(rng):
@@ -92,15 +91,6 @@ def test_parameter_matrix_rejects_nonfinite():
         ParameterMatrix(data, channel_count=1, order=2)
 
 
-def test_weights_for_is_row_major(rng):
-    c, d, n = 2, 3, 2
-    data = rng.standard_normal((c * c * d + c, n))
-    params = ParameterMatrix(data, channel_count=c, order=d)
-    r0 = params.weights_for(0)
-    assert r0.shape == (c, c * d + 1)
-    assert np.array_equal(r0.reshape(-1), data[:, 0])
-
-
 def test_zeros_factory():
     params = ParameterMatrix.zeros(channel_count=3, order=4, n_sequences=5)
     assert params.data.shape == (3 * 3 * 4 + 3, 5)
@@ -117,48 +107,37 @@ def test_link_rejects_unknown_variant():
 
 def test_identity_link_passthrough(rng):
     z = rng.standard_normal(8)
-    out = apply_link(LinkFunction("identity"), z)
+    out = _link_rows(LinkFunction("identity"), z)
     assert np.array_equal(out, z)
 
 
 def test_softmax_blocks_sum_to_one(rng):
     z = rng.standard_normal(12)
-    out = apply_link(LinkFunction("softmax"), z, block_size=3)
-    blocks = out.reshape(-1, 3)
+    blocks = _link_rows(LinkFunction("softmax"), z.reshape(-1, 3))
     assert np.allclose(blocks.sum(axis=1), 1.0)
-    assert (out > 0).all()
+    assert (blocks > 0).all()
 
 
 def test_softmax_shift_invariant_and_stable():
-    z = np.array([1.0, 2.0, 3.0, 4.0])
-    shifted = apply_link(LinkFunction("softmax"), z + 1e6, block_size=2)
-    plain = apply_link(LinkFunction("softmax"), z, block_size=2)
+    z = np.array([[1.0, 2.0], [3.0, 4.0]])
+    shifted = _link_rows(LinkFunction("softmax"), z + 1e6)
+    plain = _link_rows(LinkFunction("softmax"), z)
     assert np.allclose(shifted, plain)
     assert np.isfinite(shifted).all()
 
 
-def test_softmax_requires_divisible_length():
-    with pytest.raises(ValueError):
-        apply_link(LinkFunction("softmax"), np.ones(5), block_size=2)
-
-
 def test_exponential_clamps():
-    out = apply_link(LinkFunction("exponential"), np.array([600.0, -600.0]))
+    out = _link_rows(LinkFunction("exponential"), np.array([600.0, -600.0]))
     assert out[0] == np.exp(LINK_CLAMP)
     assert out[1] == np.exp(-LINK_CLAMP)
 
 
 def test_logistic_range_and_clamp():
-    out = apply_link(LinkFunction("logistic"), np.array([-1e4, 0.0, 1e4]))
+    out = _link_rows(LinkFunction("logistic"), np.array([-1e4, 0.0, 1e4]))
     assert out[1] == 0.5
     # the clamp keeps the tails finite; the top saturates to 1.0 in float64
     assert 0.0 < out[0] < out[1] < out[2] <= 1.0
     assert np.isfinite(out).all()
-
-
-def test_link_rejects_nonfinite_input():
-    with pytest.raises(ValueError):
-        apply_link(LinkFunction("identity"), np.array([np.nan]))
 
 
 @pytest.mark.parametrize("variant", ["identity", "exponential", "logistic"])
@@ -166,8 +145,8 @@ def test_link_rejects_nonfinite_input():
 @settings(max_examples=50, deadline=None)
 def test_scalar_links_are_monotone(variant, x, y):
     link = LinkFunction(variant)
-    fx = apply_link(link, np.array([x]))[0]
-    fy = apply_link(link, np.array([y]))[0]
+    fx = _link_rows(link, np.array([x]))[0]
+    fy = _link_rows(link, np.array([y]))[0]
     assert (fx - fy) * (x - y) >= 0.0
 
 
@@ -179,5 +158,5 @@ def test_scalar_links_are_monotone(variant, x, y):
 def test_softmax_is_monotone_blockwise(x, y):
     link = LinkFunction("softmax")
     xv, yv = np.array(x), np.array(y)
-    gap = apply_link(link, xv, block_size=3) - apply_link(link, yv, block_size=3)
+    gap = _link_rows(link, xv) - _link_rows(link, yv)
     assert float(gap @ (xv - yv)) >= -1e-12

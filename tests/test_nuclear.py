@@ -1,4 +1,4 @@
-"""Capped simplex projection, the ball geometry, and the prox step."""
+"""Capped simplex projection and the prox step."""
 
 import math
 
@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import optimize
 
-from lowrank_ar.nuclear import (
-    NuclearBallGeometry,
-    capped_simplex_project,
-    nuclear_norm,
-    prox_nuc,
-)
+from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm, prox_nuc
 
 
 def project_via_root(sigma, radius):
@@ -35,24 +30,6 @@ def project_via_root(sigma, radius):
 def project_matrix_oracle(M, radius):
     u, delta, vt = np.linalg.svd(M, full_matrices=False)
     return (u * project_via_root(delta, radius)) @ vt
-
-
-# ---------------------------------------------------------------- geometry
-
-
-def test_geometry_validation():
-    with pytest.raises(ValueError):
-        NuclearBallGeometry(rows=0, cols=3, radius=1.0)
-    with pytest.raises(ValueError):
-        NuclearBallGeometry(rows=3, cols=3, radius=0.0)
-
-
-def test_check_shape(rng):
-    geom = NuclearBallGeometry(rows=3, cols=2, radius=1.0)
-    with pytest.raises(ValueError):
-        geom.check_shape(np.zeros((2, 3)), "M")
-    with pytest.raises(ValueError):
-        geom.check_shape(np.full((3, 2), np.nan), "M")
 
 
 # ----------------------------------------------------------- capped simplex
@@ -141,35 +118,32 @@ def test_capped_simplex_distance_shrinks_with_radius(s, r1, r2):
 
 def test_prox_quadratic_is_euclidean_projection(rng):
     for _ in range(20):
-        geom = NuclearBallGeometry(rows=5, cols=4, radius=float(rng.uniform(0.5, 3.0)))
+        radius = float(rng.uniform(0.5, 3.0))
         Z = rng.standard_normal((5, 4))
         X = rng.standard_normal((5, 4))
-        ours = prox_nuc(geom, Z, X)
-        oracle = project_matrix_oracle(Z - X, geom.radius)
+        ours = prox_nuc(Z, X, radius)
+        oracle = project_matrix_oracle(Z - X, radius)
         assert np.max(np.abs(ours - oracle)) <= 1e-10
 
 
 def test_prox_infinite_radius_short_circuits(rng):
-    geom = NuclearBallGeometry(rows=3, cols=3, radius=math.inf)
     Z = rng.standard_normal((3, 3))
     X = rng.standard_normal((3, 3))
-    assert np.allclose(prox_nuc(geom, Z, X), Z - X, atol=1e-15)
+    assert np.allclose(prox_nuc(Z, X, math.inf), Z - X, atol=1e-15)
 
 
 def test_prox_output_feasible(rng):
-    geom = NuclearBallGeometry(rows=6, cols=3, radius=1.7)
     for _ in range(10):
         Z = rng.standard_normal((6, 3))
         X = rng.standard_normal((6, 3))
-        out = prox_nuc(geom, Z, X)
-        assert nuclear_norm(out) <= geom.radius + 1e-9
+        out = prox_nuc(Z, X, 1.7)
+        assert nuclear_norm(out) <= 1.7 + 1e-9
 
 
 def test_prox_projection_is_identity_inside_ball(rng):
-    geom = NuclearBallGeometry(rows=4, cols=4, radius=100.0)
     Z = rng.standard_normal((4, 4))
     X = rng.standard_normal((4, 4))
-    assert np.allclose(prox_nuc(geom, Z, X), Z - X, atol=1e-10)
+    assert np.allclose(prox_nuc(Z, X, 100.0), Z - X, atol=1e-10)
 
 
 def test_nuclear_norm_matches_svd(rng):

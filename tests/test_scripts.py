@@ -1,10 +1,11 @@
-"""Every study script under scripts/ prints its usage; the studies also run small."""
+"""Every script under scripts/ prints its usage, and each also runs at a small size."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,3 +47,22 @@ def test_study_script_runs_small(tmp_path, name, args, last_line):
     assert result.stdout.splitlines()[-1].startswith(last_line)
     if name == "sweep_figure.py":
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 3
+
+
+def test_ucr_benchmark_runs_on_a_tiny_archive(tmp_path):
+    gen = np.random.default_rng(4)
+    names = ("Alpha", "Beta")
+    for name in names:
+        (tmp_path / name).mkdir()
+        for split, n in (("TRAIN", 6), ("TEST", 4)):
+            rows = []
+            for i in range(n):
+                wave = np.sin(np.linspace(0, 6, 20) * (1 + i % 2) + gen.uniform(0, 1))
+                rows.append("\t".join([str(1 + i % 2)] + [f"{v:.6f}" for v in wave]))
+            (tmp_path / name / f"{name}_{split}.tsv").write_text("\n".join(rows) + "\n")
+    args = ["--archive", str(tmp_path), "--d", "2", "--iters", "16", *names]
+    result = run_script("ucr_benchmark.py", *args, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    # one score line per dataset, after the embed and eval commands' own output
+    scored = [line.split()[0] for line in result.stdout.splitlines() if "macro-F1" in line]
+    assert scored == list(names)

@@ -8,8 +8,10 @@ import pytest
 
 from lowrank_ar.field import EmpiricalField, FieldSpec, ls_loss
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
-from lowrank_ar.nuclear import NuclearBallGeometry, capped_simplex_project, nuclear_norm
+from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm
 from lowrank_ar.solver import (
+    ADMM_MAX_ITERS,
+    MIRROR_MAX_ITERS,
     SolverConfig,
     SolverError,
     SolverState,
@@ -140,16 +142,12 @@ def test_config_defaults():
     config = SolverConfig()
     assert config.mode == "mirror-prox-backtracking"
     assert math.isinf(config.lambda_)
-
-
-def test_algorithms_reject_mismatched_mode():
-    geom = NuclearBallGeometry(rows=2, cols=2, radius=1.0)
-    md = SolverConfig(mode="mirror-descent")
-    mp = SolverConfig(mode="mirror-prox-backtracking")
-    with pytest.raises(ValueError):
-        mirror_descent(lambda x: x, geom, mp)
-    with pytest.raises(ValueError):
-        mirror_prox_backtracking(lambda x: x, geom, md)
+    # max_iters = None leaves each method its own cap
+    assert config.max_iters is None
+    assert config.cap == MIRROR_MAX_ITERS == 256
+    assert SolverConfig(mode="mirror-descent").cap == MIRROR_MAX_ITERS
+    assert SolverConfig(mode="admm-ls").cap == ADMM_MAX_ITERS
+    assert SolverConfig(mode="admm-ls", max_iters=7).cap == 7
 
 
 # ---------------------------------------------------------------- convergence
@@ -288,6 +286,21 @@ def test_solve_admm_dispatch(problem):
     assert nuclear_norm(params.data) <= 0.5 * upper + 1e-9
 
 
+def test_solve_admm_runs_under_its_own_cap():
+    """Without max_iters, admm-ls is not cut at the mirror methods' 256 iterations."""
+    gen = np.random.default_rng(2)
+    walks = tuple(np.cumsum(gen.standard_normal((1, 40)), axis=1) for _ in range(4))
+    coll = SequenceCollection(sequences=walks, ids=tuple("abcd"))
+    ev = EmpiricalField(coll, FieldSpec(link=LinkFunction("identity"), order=D))
+    lam = 0.5 * nuclear_norm(least_squares_unconstrained(ev.slices, 1, D).data)
+    _, state = solve(ev, SolverConfig(mode="admm-ls", lambda_=lam))
+    assert state.termination == "converged"
+    assert MIRROR_MAX_ITERS < state.t < ADMM_MAX_ITERS
+    _, capped = solve(ev, SolverConfig(mode="admm-ls", lambda_=lam, max_iters=100))
+    assert capped.termination == "iteration-cap"
+    assert capped.t == 100
+
+
 # ---------------------------------------------------------------- error paths
 
 
@@ -311,28 +324,26 @@ def test_splitting_solver_validation(problem):
 
 
 def test_nonfinite_field_raises():
-    geom = NuclearBallGeometry(rows=2, cols=2, radius=1.0)
-
     def bad_field(x):
         return np.full_like(x, np.nan)
 
+    config = SolverConfig(lambda_=1.0, max_iters=4)
     with pytest.raises(SolverError):
-        mirror_descent(bad_field, geom, SolverConfig(mode="mirror-descent", max_iters=4))
+        mirror_descent(bad_field, (2, 2), config)
     with pytest.raises(SolverError):
-        mirror_prox_backtracking(bad_field, geom, SolverConfig(max_iters=4))
+        mirror_prox_backtracking(bad_field, (2, 2), config)
 
 
 def test_backtracking_overflow_raises():
-    geom = NuclearBallGeometry(rows=2, cols=2, radius=1.0)
     calls = [0]
 
     def spiky_field(x):
         calls[0] += 1
         return ((-10.0) ** calls[0]) * np.ones_like(x)
 
-    config = SolverConfig(max_iters=4)
+    config = SolverConfig(lambda_=1.0, max_iters=4)
     with pytest.raises(SolverError, match="exceeded 60 doublings"):
-        mirror_prox_backtracking(spiky_field, geom, config)
+        mirror_prox_backtracking(spiky_field, (2, 2), config)
     # the field at R_0, then one candidate per kappa from kappa0 to 2^60 kappa0
     assert calls[0] == 62
 
@@ -348,18 +359,13 @@ def test_kappa_never_decreases(problem):
 
 
 def test_stop_tol_exits_early():
-    geom = NuclearBallGeometry(rows=2, cols=3, radius=1.0)
     zero_field = lambda x: np.zeros_like(x)
-    md = mirror_descent(
-        zero_field, geom, SolverConfig(mode="mirror-descent", max_iters=50, stop_tol=1e-8)
-    )
-    assert len(md.history) == 1
-    assert md.termination == "stop-tol"
-    mp = mirror_prox_backtracking(
-        zero_field, geom, SolverConfig(max_iters=50, stop_tol=1e-8)
-    )
-    assert len(mp.history) == 1
-    assert mp.termination == "stop-tol"
+    config = SolverConfig(lambda_=1.0, max_iters=50, stop_tol=1e-8)
+    for method in (mirror_descent, mirror_prox_backtracking):
+        aggregate, state = method(zero_field, (2, 3), config)
+        assert aggregate.shape == (2, 3)
+        assert len(state.history) == 1
+        assert state.termination == "stop-tol"
 
 
 def test_history_records_and_csv(problem, tmp_path):
@@ -383,8 +389,7 @@ def test_splitting_history_columns(problem):
     params, state = constrained_least_squares(ev.slices, 1, D, 0.5 * upper)
     assert state.termination == "converged"
     assert state.history[0].backtracks == 0
-    assert state.history[-1].kappa == pytest.approx(state.kappa)
-    assert state.history[-1].gamma == pytest.approx(1.0 / state.kappa)
+    assert state.history[-1].gamma == pytest.approx(1.0 / state.history[-1].kappa)
     assert state.history[-1].loss == pytest.approx(ls_loss(params, ev.slices), rel=1e-12, abs=0)
     for max_iters in (1, 2, 5):
         params, state = constrained_least_squares(
@@ -392,9 +397,6 @@ def test_splitting_history_columns(problem):
         )
         assert state.t == max_iters
         assert state.termination == "iteration-cap"
-        # the rho that produced the returned Z, not the one rebalanced after it
-        assert state.kappa == state.history[-1].kappa
-        assert state.gamma == state.history[-1].gamma
         assert state.history[-1].loss == pytest.approx(
             ls_loss(params, ev.slices), rel=1e-12, abs=0
         )
