@@ -3,12 +3,16 @@
 Each dataset directory must hold <Name>_TRAIN.tsv and <Name>_TEST.tsv in
 the usual label-first row format. Series are encoded as (value, diff)
 channel pairs, embedded from the fitted parameter matrix, and scored with
-the CV-selected KNN on the archive's own split.
+the CV-selected KNN on the archive's own split. Stdout holds only the
+score table, one line per dataset; the embed and eval commands' own output
+goes to stderr.
 
 Usage: python3 scripts/ucr_benchmark.py --archive ~/UCRArchive_2018 Coffee GunPoint
 """
 
 import argparse
+import contextlib
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -65,7 +69,8 @@ def main():
         work = Path(tmp)
         for name in args.datasets:
             t0 = time.perf_counter()
-            metrics = run_dataset(archive, name, args.d, args.iters, work)
+            with contextlib.redirect_stdout(sys.stderr):
+                metrics = run_dataset(archive, name, args.d, args.iters, work)
             print(
                 f"{name:<24} accuracy {metrics['accuracy']:.3f}  "
                 f"macro-F1 {metrics['macro_f1']:.3f}  "

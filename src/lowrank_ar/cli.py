@@ -453,18 +453,16 @@ def _search_objectives(collection, truth, config) -> dict:
 def _radius_path(collection: SequenceCollection, config: dict, truth):
     """The radius path, each solved radius's SolverState, and the field it reads.
 
-    The full-horizon field is shared; stochastic mode builds a fresh one per
-    call, so every radius and every sweep loss sees the same window draws.
+    Every radius shares one field. A stochastic field's draws depend only on
+    the seed and the solver step, so every radius's solve sees the same
+    window draw at each step, and every sweep loss reads the same fixed set,
+    whatever order the radii are solved in.
     """
-    shared = _make_evaluator(collection, config)
-    stochastic = shared.spec.mode == "stochastic-subwindow"
+    evaluator = _make_evaluator(collection, config)
     states: dict = {}
 
-    def evaluator() -> EmpiricalField:
-        return _make_evaluator(collection, config) if stochastic else shared
-
     def solve_fn(lam: float) -> ParameterMatrix:
-        params, states[lam] = solve(evaluator(), _solver_config(config, lam))
+        params, states[lam] = solve(evaluator, _solver_config(config, lam))
         return params
 
     problem = LambdaProblem(
@@ -657,8 +655,8 @@ def cmd_sweep(config: dict) -> int:
             table.append(done[key])
             continue
         params = problem.solve(lam)
-        # a fresh evaluator per row in stochastic mode keeps rows resume-invariant
-        loss = evaluator().loss(params.data)
+        # a stochastic loss reads one fixed window set, so rows are resume-invariant
+        loss = evaluator.loss(params.data)
         embedding = factorize(params, ids=list(collection.ids))
         row = [key, _LAMBDA_FMT % loss, "", str(embedding.approx_rank), ""]
         if truth is not None:

@@ -131,7 +131,8 @@ def read_ucr_file(path) -> tuple[list, list]:
     """Archive-style rows: label, v1, ..., vT separated by tabs or commas.
 
     Returns (labels, series). Trailing NaN padding is trimmed per row; a row
-    with no finite value raises ValueError naming the file and line.
+    with no finite value, or with a non-finite value before its last finite
+    one, raises ValueError naming the file and line.
     """
     labels: list = []
     series: list = []
@@ -149,6 +150,9 @@ def read_ucr_file(path) -> tuple[list, list]:
                 raise ValueError(f"{path}: line {line_no} has no finite values")
             if not finite.all():
                 values = values[: int(np.nonzero(finite)[0][-1]) + 1]
+                if not np.isfinite(values).all():
+                    raise ValueError(f"{path}: line {line_no} has a non-finite value "
+                                     "inside the series")
             series.append(values)
     if not labels:
         raise ValueError(f"no data rows in {path}")

@@ -15,15 +15,17 @@ and measurement.correlations. Under the identity link
 For any link, the field vanishes termwise at the generating parameters on
 noiseless data, and monotonicity of eta makes the field monotone.
 
-A set that is evaluated again (any explicit set, or the full-horizon set
-of an EmpiricalField) serves the loss and the identity-link field from its
-normal equations G_i = X_i^T X_i, H_i = Y_i^T X_i, cached on first use:
+A set that is evaluated again (any explicit set, the full-horizon set of an
+EmpiricalField, or the fixed loss set of a stochastic one) serves the loss
+and the identity-link field from its normal equations G_i = X_i^T X_i,
+H_i = Y_i^T X_i, cached on first use:
 
     field = w^2/S * [R_i G_i - H_i]_i
     ls_loss = w^2/S * (sum_i <R_i, R_i G_i - 2 H_i> + sum_i ||Y_i||^2)
 
-at O(N C K^2) a call whatever S. The other links' fields, and every
-stochastic-subwindow draw (used once), multiply out the design instead.
+at O(N C K^2) a call whatever S. The other links' fields, and the field on
+a stochastic-subwindow step draw (read by one solver step only), multiply
+out the design instead.
 
 Each sum is one batched matrix product per call, with a fixed shape for a
 given slice set, so reruns are bitwise reproducible and a reordering of the
@@ -53,8 +55,9 @@ _MODES = ("full-horizon", "stochastic-subwindow")
 class FieldSpec:
     """How to evaluate the empirical field: link, order, and slice source.
 
-    In stochastic-subwindow mode a fresh set of per-sequence windows of
-    length `window` is drawn on every field evaluation, seeded by `seed`.
+    In stochastic-subwindow mode the field reads one set of per-sequence
+    windows of length `window` per solver step, and the loss one fixed set;
+    every draw is a function of `seed` and, for the field, the step.
     """
 
     link: LinkFunction
@@ -83,11 +86,6 @@ def _scale(slices: SliceSet) -> float:
 def _rows(data: np.ndarray, slices: SliceSet) -> np.ndarray:
     """The (m, N) parameter data as per-sequence rows R_i, shape (N, C, K)."""
     return data.T.reshape(slices.n_sequences, slices.channel_count, -1)
-
-
-def _loss_data(data: np.ndarray, slices: SliceSet) -> float:
-    resid = predictions(slices, data) - slices.observations
-    return float(_scale(slices) * np.vdot(resid, resid))
 
 
 def _field_data(data: np.ndarray, link: LinkFunction, slices: SliceSet) -> np.ndarray:
@@ -133,11 +131,20 @@ def field(spec: FieldSpec, params: ParameterMatrix, slices: SliceSet) -> np.ndar
 class EmpiricalField:
     """Bundles a collection and a FieldSpec into field/loss callables.
 
-    Full-horizon mode builds the slice set once (field() and ls_loss() on
-    it). Stochastic mode draws a fresh set, one window per sequence, from an
-    internal generator on every evaluation (field and loss alike), so
-    evaluation order matters to the draw sequence but reruns with the same
-    seed are bitwise identical.
+    Full-horizon mode builds the slice set once; field() and loss() read it
+    and ignore the step. Stochastic mode draws one window per sequence:
+
+    * field(data, step) reads the draw of solver step `step`, made on the
+      first call with that step and kept until a call names another step,
+      so every field call of one solver iteration sees the same windows;
+    * loss(data) reads one evaluation set, drawn on the first loss call and
+      then served from its cached normal equations.
+
+    Every draw has its own generator, seeded from SeedSequence(spec.seed):
+    one child for the loss set, and one grandchild per step for the field.
+    So the draws depend on neither the order nor the number of calls (a
+    logged loss leaves the field's draws as they are), and reruns with the
+    same seed are bitwise identical.
     """
 
     def __init__(self, collection: SequenceCollection, spec: FieldSpec):
@@ -149,35 +156,44 @@ class EmpiricalField:
             collection.channel_count**2 * spec.order + collection.channel_count
         )
         if spec.mode == "full-horizon":
-            self._slices = enumerate_slices(collection, spec.order)
-            self._rng = None
-        else:
-            if spec.window > collection.min_length:
-                raise ValueError(
-                    f"window G={spec.window} exceeds shortest sequence length "
-                    f"{collection.min_length}"
-                )
-            self._slices = None
-            self._rng = np.random.default_rng(spec.seed)
+            self._slices = self._loss_slices = enumerate_slices(collection, spec.order)
+            return
+        if spec.window > collection.min_length:
+            raise ValueError(
+                f"window G={spec.window} exceeds shortest sequence length "
+                f"{collection.min_length}"
+            )
+        self._slices = self._loss_slices = None
+        self._loss_seeds, self._step_seeds = np.random.SeedSequence(spec.seed).spawn(2)
+        self._step: tuple[int, SliceSet] | None = None
 
     @property
     def slices(self) -> SliceSet:
         """The full-horizon slice set (stochastic mode has no fixed set)."""
         if self._slices is None:
-            raise ValueError("stochastic mode redraws slices per call")
+            raise ValueError("stochastic mode draws its slices per solver step")
         return self._slices
 
-    def _draw(self) -> SliceSet:
+    def _draw(self, seeds: np.random.SeedSequence) -> SliceSet:
         return sample_subwindow_slices(
-            self.collection, self.spec.order, self.spec.window, self._rng
+            self.collection, self.spec.order, self.spec.window, np.random.default_rng(seeds)
         )
 
-    def field(self, data: np.ndarray) -> np.ndarray:
+    def _step_slices(self, step: int | None) -> SliceSet:
+        if step is None:
+            raise ValueError("stochastic mode draws its windows per solver step: pass step")
+        if self._step is None or self._step[0] != step:
+            root = self._step_seeds
+            seeds = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, step))
+            self._step = (step, self._draw(seeds))
+        return self._step[1]
+
+    def field(self, data: np.ndarray, step: int | None = None) -> np.ndarray:
         if self._slices is None:
-            return _field_data(data, self.spec.link, self._draw())
+            return _field_data(data, self.spec.link, self._step_slices(step))
         return _set_field(data, self.spec.link, self._slices)
 
     def loss(self, data: np.ndarray) -> float:
-        if self._slices is None:
-            return _loss_data(data, self._draw())
-        return _gram_loss(data, self._slices)
+        if self._loss_slices is None:
+            self._loss_slices = self._draw(self._loss_seeds)
+        return _gram_loss(data, self._loss_slices)

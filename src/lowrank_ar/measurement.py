@@ -222,7 +222,8 @@ def _slice_set(segments: np.ndarray, d: int) -> SliceSet:
     lags = sliding_window_view(segments[:, :, :-1], d, axis=2)[..., ::-1]  # (N, C, S, d)
     regs = np.empty((n, length - d, c * d + 1))
     regs[:, :, 0] = 1.0
-    regs[:, :, 1:] = lags.transpose(0, 2, 3, 1).reshape(n, length - d, c * d)
+    # splitting the contiguous last axis is a view: the lags are copied once
+    regs[:, :, 1:].reshape(n, length - d, d, c)[...] = lags.transpose(0, 2, 3, 1)
     obs = np.ascontiguousarray(segments[:, :, d:].transpose(0, 2, 1))
     return SliceSet(regs, obs, d)
 
@@ -247,9 +248,9 @@ def sample_subwindow_slices(
     """Slices from one uniformly random length-G window per sequence.
 
     Each sequence independently contributes a contiguous window of length G
-    (one generator draw per sequence, in collection order); windows are
-    aligned positionally, giving G-d slices. Deterministic given the
-    generator state, so a fixed seed reproduces the slice set.
+    (its start drawn in collection order, all in one generator call);
+    windows are aligned positionally, giving G-d slices. Deterministic given
+    the generator state, so a fixed seed reproduces the slice set.
     """
     _check_order(d)
     if window < d + 1:
@@ -258,9 +259,8 @@ def sample_subwindow_slices(
         raise ValueError(
             f"window G={window} exceeds shortest sequence length {collection.min_length}"
         )
-    starts = [
-        int(rng.integers(0, seq.shape[1] - window + 1)) for seq in collection.sequences
-    ]
+    lengths = np.array([seq.shape[1] for seq in collection.sequences])
+    starts = rng.integers(0, lengths - window + 1)
     segments = np.stack(
         [seq[:, s : s + window] for seq, s in zip(collection.sequences, starts)]
     )

@@ -28,6 +28,14 @@ kappa is never reset downward between iterations. Start kappa0
 low (the default is 1e-6): backtracking only raises it, and the first
 iteration calibrates it to the data scale in a few doublings.
 
+Both mirror methods call field_fn(data, step) with the iteration number as
+the step, so every field call of one iteration (mirror-prox's at R_t, at
+each backtracking candidate and for the corrected step) shares one window
+draw of a stochastic field, and the next iteration gets a fresh one: common
+random numbers within a step (Juditsky, Nemirovski & Tauvel 2011), which
+keeps the backtracking test on one operator. Full-horizon fields ignore the
+step.
+
 The history's loss column tracks the running aggregate, the field_norm
 column the field at the point where it was last evaluated. Every solve
 records why it ended in SolverState.termination.
@@ -129,7 +137,7 @@ def mirror_descent(field_fn, shape, config: SolverConfig, loss_fn=None):
     history: list[HistoryRecord] = []
     termination = "iteration-cap"
     for k in range(1, config.cap + 1):
-        g = _finite_or_raise(np.asarray(field_fn(b)), "field")
+        g = _finite_or_raise(np.asarray(field_fn(b, k)), "field")
         gamma = 1.0 / (config.kappa0 * math.sqrt(k))
         b = _finite_or_raise(prox_nuc(b, gamma * g, config.lambda_), "prox step")
         weight_total += gamma
@@ -163,13 +171,13 @@ def mirror_prox_backtracking(field_fn, shape, config: SolverConfig, loss_fn=None
     history: list[HistoryRecord] = []
     termination = "iteration-cap"
     for t in range(1, config.cap + 1):
-        psi_r = _finite_or_raise(np.asarray(field_fn(r)), "field")
+        psi_r = _finite_or_raise(np.asarray(field_fn(r, t)), "field")
         alpha = 2.0 / (t + 1)
         backtracks = 0
         while True:
             gamma = 1.0 / (2.0 * kappa)
             b_next = _finite_or_raise(prox_nuc(r, gamma * psi_r, config.lambda_), "prox step")
-            psi_b = _finite_or_raise(np.asarray(field_fn(b_next)), "field")
+            psi_b = _finite_or_raise(np.asarray(field_fn(b_next, t)), "field")
             lhs = float(np.linalg.norm(psi_b - psi_r))
             rhs = kappa * float(np.linalg.norm(b_next - r))
             if lhs > rhs:

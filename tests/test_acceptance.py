@@ -337,26 +337,31 @@ def test_criterion_11_rerun_determinism(report, tmp_path):
     data = tmp_path / "data"
     assert cli.main(["synth", "--config", str(synth_cfg), "--out", str(data)]) == 0
 
-    embed_cfg = tmp_path / "embed.json"
-    write_json(
-        {
-            "input": {
-                "path": str(data / "dataset.csv"),
-                "labels_path": str(data / "labels.csv"),
+    same = True
+    # the full-horizon field, and a stochastic-subwindow one under the default solver
+    for name, extra in (("full", {}), ("window", {"window_g": 12, "seed": 3})):
+        embed_cfg = tmp_path / f"{name}.json"
+        write_json(
+            {
+                "input": {
+                    "path": str(data / "dataset.csv"),
+                    "labels_path": str(data / "labels.csv"),
+                },
+                "d": 3,
+                "iters": 64,
+                **extra,
             },
-            "d": 3,
-            "iters": 64,
-        },
-        embed_cfg,
-    )
-    out_a = tmp_path / "emb_a"
-    assert cli.main(["embed", "--config", str(embed_cfg), "--out", str(out_a)]) == 0
+            embed_cfg,
+        )
+        out_a = tmp_path / f"{name}_a"
+        assert cli.main(["embed", "--config", str(embed_cfg), "--out", str(out_a)]) == 0
 
-    # replay from the recorded manifest, as a fresh run would
-    replay_cfg = tmp_path / "replay.json"
-    write_json(read_json(out_a / "manifest.json"), replay_cfg)
-    out_b = tmp_path / "emb_b"
-    assert cli.main(["embed", "--config", str(replay_cfg), "--out", str(out_b)]) == 0
-
-    same = (out_a / "embeddings.csv").read_bytes() == (out_b / "embeddings.csv").read_bytes()
-    report("11", same, "manifest replay reproduced embeddings.csv byte for byte")
+        # replay from the recorded manifest, as a fresh run would
+        replay_cfg = tmp_path / f"{name}_replay.json"
+        write_json(read_json(out_a / "manifest.json"), replay_cfg)
+        out_b = tmp_path / f"{name}_b"
+        assert cli.main(["embed", "--config", str(replay_cfg), "--out", str(out_b)]) == 0
+        for output in ("embeddings.csv", "history.csv"):
+            same &= (out_a / output).read_bytes() == (out_b / output).read_bytes()
+    report("11", same, "manifest replays reproduced embeddings.csv and history.csv byte for "
+           "byte, full-horizon and stochastic-subwindow")

@@ -254,8 +254,8 @@ def test_embed_exits_3_when_the_fit_collapses_to_zero(tmp_path, capsys):
 
 
 def test_embed_with_truth_and_stochastic_window(tmp_path, synth_dir):
-    # subwindow fields redraw per evaluation, so the step-doubling search
-    # cannot settle; plain mirror descent is the supported pairing
+    # mirror descent steps at 1/(kappa0 sqrt(k)), so it needs a kappa0 on the
+    # data's scale; the step-doubling search of the default mode finds its own
     rc, out = run_embed(
         tmp_path, synth_dir, name="stoch",
         truth_path=str(synth_dir / "truth.csv"), window_g=10, iters=16,
@@ -264,6 +264,37 @@ def test_embed_with_truth_and_stochastic_window(tmp_path, synth_dir):
     assert rc == 0
     manifest = read_json(out / "manifest.json")
     assert manifest["window_g"] == 10
+
+
+@pytest.fixture(scope="module")
+def long_synth_dir(tmp_path_factory):
+    """Eight generated sequences of length 100, long enough for window 40."""
+    root = tmp_path_factory.mktemp("cli_long_synth")
+    cfg = root / "cfg.json"
+    write_json({"n_classes": 2, "d": 3, "t_len": 100, "n_per_class": 4, "seed": 0}, cfg)
+    assert run(["synth", "--config", cfg, "--out", root / "data"]) == 0
+    return root / "data"
+
+
+@pytest.mark.parametrize(
+    "mode, extra",
+    [("mirror-prox-backtracking", {}), ("mirror-descent", {"kappa0": 100.0, "lambda": 4.0})],
+)
+def test_embed_stochastic_window_under_each_mirror_method(tmp_path, long_synth_dir, mode, extra):
+    # one window draw per solver step: mirror-prox's backtracking test compares
+    # two fields of the same draw, so it settles, here at the default radius inf
+    for window in (10, 40):
+        for seed in (0, 1):
+            cfg = tmp_path / "cfg.json"
+            write_json({"input": str(long_synth_dir / "dataset.csv"), "d": 3, "mode": mode,
+                        "window_g": window, "seed": seed, **extra}, cfg)
+            out = tmp_path / f"w{window}s{seed}"
+            assert run(["embed", "--config", cfg, "--out", out]) == 0
+            with open(out / "history.csv", newline="") as fh:
+                history = list(csv.DictReader(fh))
+            assert len(history) == 256
+            losses = [float(row["loss"]) for row in history]
+            assert all(math.isfinite(v) for v in losses) and losses[-1] < losses[0]
 
 
 # ---------------------------------------------------------------- eval
@@ -527,11 +558,16 @@ def _bad_input(tmp_path, case):
         series.write_text("id,t,c1\na,2,0.2\na,1,0.1\na,3,0.3\n")
         return {"path": str(series)}, series.name
     train = tmp_path / "TRAIN.tsv"
-    train.write_text("1\t0.5\t0.25\t-1.0\n2\tNaN\tNaN\tNaN\n")
+    if case == "ucr-nan-inside-row":
+        train.write_text("1\t0.5\t0.25\t-1.0\t0.3\n2\t0.5\tNaN\t-1.0\t0.2\n")
+    else:
+        train.write_text("1\t0.5\t0.25\t-1.0\n2\tNaN\tNaN\tNaN\n")
     return {"format": "ucr", "train_path": str(train)}, train.name
 
 
-@pytest.mark.parametrize("case", ["label-missing", "t-out-of-order", "ucr-all-nan-row"])
+@pytest.mark.parametrize(
+    "case", ["label-missing", "t-out-of-order", "ucr-all-nan-row", "ucr-nan-inside-row"]
+)
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     source, name = _bad_input(tmp_path, case)
     cfg = tmp_path / "cfg.json"

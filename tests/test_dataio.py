@@ -138,6 +138,13 @@ def test_ucr_trailing_nan_trimmed(tmp_path):
     assert np.array_equal(series[0], [1.0, 2.0])
 
 
+def test_ucr_nan_inside_a_row_raises_naming_the_line(tmp_path):
+    path = tmp_path / "data.tsv"
+    path.write_text("3\t1.0\t2.0\n1\t0.5\tNaN\t-1.0\tNaN\n")
+    with pytest.raises(ValueError, match="data.tsv: line 2"):
+        read_ucr_file(path)
+
+
 def test_ucr_empty_file_raises(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_text("\n\n")

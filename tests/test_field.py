@@ -202,16 +202,20 @@ def test_full_horizon_identity_calls_build_grams_without_eigh(rng, factor_counte
     assert factor_counter == {"eigh": 0, "lstsq": 0}
 
 
-@pytest.mark.parametrize("variant", ["identity", "softmax"])
-def test_stochastic_calls_build_no_cache(rng, monkeypatch, variant):
+def stochastic_evaluator(rng, variant="identity", seed=1):
     c = 2 if variant == "softmax" else 1
     kind = "probability-simplex" if variant == "softmax" else "real"
     coll = make_collection(rng, n=3, c=c, t_len=60, kind=kind)
     spec = FieldSpec(
         link=LinkFunction(variant), order=2,
-        mode="stochastic-subwindow", window=10, seed=1,
+        mode="stochastic-subwindow", window=10, seed=seed,
     )
-    ev = EmpiricalField(coll, spec)
+    return EmpiricalField(coll, spec)
+
+
+@pytest.fixture
+def recorded_draws(monkeypatch):
+    """Every slice set the field module draws, in order."""
     drawn = []
     real_draw = field_module.sample_subwindow_slices
 
@@ -220,12 +224,47 @@ def test_stochastic_calls_build_no_cache(rng, monkeypatch, variant):
         return drawn[-1]
 
     monkeypatch.setattr(field_module, "sample_subwindow_slices", recording_draw)
+    return drawn
+
+
+@pytest.mark.parametrize("variant", ["identity", "softmax"])
+def test_stochastic_step_draws_build_no_cache(rng, recorded_draws, variant):
+    ev = stochastic_evaluator(rng, variant)
     data = 0.1 * rng.standard_normal((ev.param_rows, 3))
-    ev.field(data)
+    ev.field(data, 1)
+    ev.field(data, 1)
     ev.loss(data)
-    assert len(drawn) == 2
-    for slices in drawn:
+    ev.field(data, 2)
+    ev.loss(data)
+    # one draw per step and one loss set: step 1, the loss set, step 2
+    assert len(recorded_draws) == 3
+    step_1, loss_set, step_2 = recorded_draws
+    for slices in (step_1, step_2):
         assert not {"normal_equations", "gram_eigen", "ols"} & set(vars(slices))
+    # the loss set is read again and again, so it is served from its Grams
+    assert {"normal_equations", "gram_eigen", "ols"} & set(vars(loss_set)) == {
+        "normal_equations"
+    }
+
+
+def test_stochastic_loss_reads_one_set_and_leaves_the_field_draws(rng, recorded_draws):
+    logged = stochastic_evaluator(rng, seed=4)
+    quiet = EmpiricalField(logged.collection, logged.spec)  # never asked for a loss
+    data = 0.1 * rng.standard_normal((logged.param_rows, 3))
+    losses = []
+    for step in (1, 2, 3):
+        losses.append(logged.loss(data))
+        assert np.array_equal(logged.field(data, step), quiet.field(data, step))
+    loss_sets = [s for s in recorded_draws if "normal_equations" in vars(s)]
+    assert len(loss_sets) == 1
+    params = ParameterMatrix(data, channel_count=1, order=2)
+    assert losses == [ls_loss(params, loss_sets[0])] * 3
+
+
+def test_stochastic_field_needs_a_step(rng):
+    ev = stochastic_evaluator(rng)
+    with pytest.raises(ValueError, match="step"):
+        ev.field(np.zeros((ev.param_rows, 3)))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -257,18 +296,17 @@ def test_full_horizon_loss_matches_residual_form(rng, variant):
 
 
 def test_stochastic_mode_redraws_and_reproduces(rng):
-    coll = make_collection(rng, n=3, c=1, t_len=60)
-    spec = FieldSpec(
-        link=LinkFunction("identity"), order=2,
-        mode="stochastic-subwindow", window=10, seed=3,
-    )
-    data = np.zeros((3, 3))
-    a1 = EmpiricalField(coll, spec)
-    a2 = EmpiricalField(coll, spec)
-    first_a, first_b = a1.field(data), a2.field(data)
-    assert np.array_equal(first_a, first_b)
-    # a fresh draw happens on the next call
-    assert not np.array_equal(a1.field(data), first_a)
+    a1 = stochastic_evaluator(rng, seed=3)
+    a2 = EmpiricalField(a1.collection, a1.spec)
+    data = 0.1 * rng.standard_normal((a1.param_rows, 3))
+    first = a1.field(data, 1)
+    assert np.array_equal(a1.field(data, 1), first)  # one draw per step
+    second = a1.field(data, 2)
+    assert not np.array_equal(second, first)  # a fresh draw on the next step
+    # a step's draw depends on the seed and the step, not on the calls before it
+    assert np.array_equal(a2.field(data, 2), second)
+    assert np.array_equal(a2.field(data, 1), first)
+    assert np.array_equal(a1.field(data, 1), first)
 
 
 def test_stochastic_mode_has_no_fixed_slices(rng):

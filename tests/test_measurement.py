@@ -118,6 +118,17 @@ def test_enumerate_slices_regressor_layout():
     assert np.array_equal(slices.observations[0], [[13.0, 23.0], [14.0, 24.0]])
 
 
+def test_enumerate_slices_matches_a_loop(rng):
+    seqs = tuple(rng.standard_normal((3, 12)) for _ in range(4))
+    d = 4
+    slices = enumerate_slices(SequenceCollection(sequences=seqs, ids=tuple("abcd")), d)
+    for i, seq in enumerate(seqs):
+        for s in range(12 - d):
+            lags = [seq[:, s + d - 1 - j] for j in range(d)]  # newest first
+            assert np.array_equal(slices.regressors[i, s], np.concatenate([[1.0], *lags]))
+            assert np.array_equal(slices.observations[i, s], seq[:, s + d])
+
+
 def test_slice_set_is_read_only_and_matches_its_views(rng):
     coll = make_collection(rng, n=3, c=2, t_len=10)
     slices = enumerate_slices(coll, 2)
@@ -240,6 +251,6 @@ def test_building_a_slice_set_does_not_factor_it(rng, factor_counter):
         coll, FieldSpec(link=LinkFunction("identity"), order=2,
                         mode="stochastic-subwindow", window=10, seed=0)
     )
-    stochastic.field(np.zeros((stochastic.param_rows, 3)))
+    stochastic.field(np.zeros((stochastic.param_rows, 3)), 1)
     stochastic.loss(np.zeros((stochastic.param_rows, 3)))
     assert factor_counter == {"eigh": 0, "lstsq": 0}

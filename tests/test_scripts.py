@@ -63,6 +63,7 @@ def test_ucr_benchmark_runs_on_a_tiny_archive(tmp_path):
     args = ["--archive", str(tmp_path), "--d", "2", "--iters", "16", *names]
     result = run_script("ucr_benchmark.py", *args, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    # one score line per dataset, after the embed and eval commands' own output
-    scored = [line.split()[0] for line in result.stdout.splitlines() if "macro-F1" in line]
-    assert scored == list(names)
+    # stdout is the score table alone: one line per dataset
+    lines = result.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == list(names)
+    assert all("macro-F1" in line for line in lines)

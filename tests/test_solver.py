@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import lowrank_ar.field as field_module
 from lowrank_ar.field import EmpiricalField, FieldSpec, ls_loss
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
 from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm
@@ -279,6 +280,61 @@ def test_solve_rejects_admm_with_stochastic_slices(rng):
         solve(ev, SolverConfig(mode="admm-ls", lambda_=1.0))
 
 
+# ---------------------------------------------------------------- stochastic windows
+
+
+def stochastic_problem(seed=0):
+    gen = np.random.default_rng(21)
+    seqs = tuple(gen.standard_normal((1, 80)) for _ in range(4))
+    coll = SequenceCollection(sequences=seqs, ids=tuple("abcd"))
+    spec = FieldSpec(
+        link=LinkFunction("identity"), order=D,
+        mode="stochastic-subwindow", window=12, seed=seed,
+    )
+    return coll, spec
+
+
+def test_mirror_prox_draws_once_per_iteration(monkeypatch):
+    draws, field_calls = [0], [0]
+    real_draw = field_module.sample_subwindow_slices
+
+    def counted_draw(*args, **kwargs):
+        draws[0] += 1
+        return real_draw(*args, **kwargs)
+
+    monkeypatch.setattr(field_module, "sample_subwindow_slices", counted_draw)
+    ev = EmpiricalField(*stochastic_problem())
+
+    def counted_field(data, step):
+        field_calls[0] += 1
+        return ev.field(data, step)
+
+    config = SolverConfig(lambda_=2.0, max_iters=6)
+    _, state = mirror_prox_backtracking(counted_field, (ev.param_rows, 4), config)
+    assert state.t == 6 and draws[0] == 6
+    # the field at R_t, every candidate and the corrected step share the draw
+    assert sum(rec.backtracks for rec in state.history) > 0
+    assert field_calls[0] == 6 + 6 + sum(rec.backtracks for rec in state.history)
+    mirror_prox_backtracking(ev.field, (ev.param_rows, 4), config, loss_fn=ev.loss)
+    assert draws[0] == 6 + 6 + 1  # a logged loss adds one fixed set, drawn once
+
+
+@pytest.mark.parametrize("method", [mirror_descent, mirror_prox_backtracking])
+def test_stochastic_solve_is_the_same_with_or_without_a_logged_loss(method):
+    coll, spec = stochastic_problem(seed=5)
+    config = SolverConfig(lambda_=2.0, max_iters=12, kappa0=1.0)
+    logged = EmpiricalField(coll, spec)
+    quiet = EmpiricalField(coll, spec)
+    agg_logged, state_logged = method(logged.field, (logged.param_rows, 4), config,
+                                      loss_fn=logged.loss)
+    agg_quiet, state_quiet = method(quiet.field, (quiet.param_rows, 4), config)
+    assert np.array_equal(agg_logged, agg_quiet)
+    assert [h.field_norm for h in state_logged.history] == [
+        h.field_norm for h in state_quiet.history
+    ]
+    assert all(math.isfinite(h.loss) for h in state_logged.history)
+
+
 def test_solve_admm_dispatch(problem):
     ev, ols, upper, _ = problem
     params, state = solve(ev, SolverConfig(mode="admm-ls", lambda_=0.5 * upper, max_iters=500))
@@ -324,7 +380,7 @@ def test_splitting_solver_validation(problem):
 
 
 def test_nonfinite_field_raises():
-    def bad_field(x):
+    def bad_field(x, step):
         return np.full_like(x, np.nan)
 
     config = SolverConfig(lambda_=1.0, max_iters=4)
@@ -337,7 +393,7 @@ def test_nonfinite_field_raises():
 def test_backtracking_overflow_raises():
     calls = [0]
 
-    def spiky_field(x):
+    def spiky_field(x, step):
         calls[0] += 1
         return ((-10.0) ** calls[0]) * np.ones_like(x)
 
@@ -359,7 +415,7 @@ def test_kappa_never_decreases(problem):
 
 
 def test_stop_tol_exits_early():
-    zero_field = lambda x: np.zeros_like(x)
+    zero_field = lambda x, step: np.zeros_like(x)
     config = SolverConfig(lambda_=1.0, max_iters=50, stop_tol=1e-8)
     for method in (mirror_descent, mirror_prox_backtracking):
         aggregate, state = method(zero_field, (2, 3), config)
