@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration or input error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from lowrank_ar import dataio, encoders
-from lowrank_ar.embedding import approx_rank, factorize, read_embedding_csv, write_embedding_csv
+from lowrank_ar.embedding import approx_rank_of, factorize, read_embedding_csv, write_embedding_csv
 from lowrank_ar.evalkit import (
     SEARCH_STRATEGIES,
     LambdaProblem,
@@ -37,7 +38,7 @@ from lowrank_ar.evalkit import (
 )
 from lowrank_ar.field import EmpiricalField, FieldSpec
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
-from lowrank_ar.solver import SolverConfig, SolverError, solve, write_history_csv
+from lowrank_ar.solver import SolverConfig, SolverError, check_method, solve, write_history_csv
 from lowrank_ar.synthetic import (
     GenClassSpec,
     UnstableCoefficientsError,
@@ -127,22 +128,19 @@ _SEARCH_DEFAULTS: dict = {
 }
 
 
-def _merge_config(defaults: dict, loaded: dict, command: str) -> dict:
-    out = dict(defaults)
-    for key, value in loaded.items():
-        if key == "command":
-            if value != command:
-                raise ConfigError(
-                    f"config file is for command {value!r}, not {command!r}"
-                )
-            continue
+def _merge(defaults: dict, given: dict, what: str) -> dict:
+    """The defaults with the given settings over them; an unknown key is a ConfigError."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{what} settings must be a JSON object, got {given!r}")
+    for key in given:
         if key not in defaults:
-            raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-        out[key] = value
-    return out
+            raise ConfigError(f"unknown {what} key {key!r}")
+    return {**defaults, **given}
 
 
-def _resolve_config(args, command: str, defaults: dict) -> dict:
+def _resolve_config(args, defaults: dict) -> dict:
+    """The config file merged over the defaults, then every flag given on the line."""
+    command = args.command
     loaded: dict = {}
     if args.config is not None:
         try:
@@ -153,22 +151,16 @@ def _resolve_config(args, command: str, defaults: dict) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-    config = _merge_config(defaults, loaded, command)
-    overrides = {
-        "lambda_": "lambda",
-        "d": "d",
-        "iters": "iters",
-        "seed": "seed",
-        "link": "link",
-        "window_g": "window_g",
-        "out": "out",
-    }
-    for attr, key in overrides.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            if key not in config:
-                raise ConfigError(f"--{key.replace('_', '-')} does not apply to {command!r}")
-            config[key] = value
+    named = loaded.pop("command", command)
+    if named != command:
+        raise ConfigError(f"config file is for command {named!r}, not {command!r}")
+    config = _merge(defaults, loaded, f"{command!r} config")
+    for key, value in vars(args).items():
+        if key in ("command", "config") or value is None:
+            continue
+        if key not in config:
+            raise ConfigError(f"--{key.replace('_', '-')} does not apply to {command!r}")
+        config[key] = value
     config["command"] = command
     return config
 
@@ -259,11 +251,7 @@ def _ingest(config: dict):
         raise ConfigError("config key 'input' is required")
     if isinstance(raw, str):
         raw = {"format": "collection", "path": raw}
-    spec = dict(_INPUT_DEFAULTS)
-    for key, value in raw.items():
-        if key not in spec:
-            raise ConfigError(f"unknown input key {key!r}")
-        spec[key] = value
+    spec = _merge(_INPUT_DEFAULTS, raw, "input")
     fmt = spec["format"]
     try:
         if fmt == "collection":
@@ -375,24 +363,20 @@ def _make_evaluator(collection: SequenceCollection, config: dict) -> EmpiricalFi
         raise ConfigError(str(exc)) from None
 
 
-def _solver_config(config: dict, lambda_: float) -> SolverConfig:
-    """The solve's settings; iters = null leaves each solver its own cap."""
-    if config["mode"] == "admm-ls":
-        if config["link"] != "identity":
-            raise ConfigError("mode admm-ls requires --link identity")
-        if config["window_g"] is not None:
-            raise ConfigError("mode admm-ls is incompatible with --window-g")
+def _solver_config(config: dict, spec: FieldSpec) -> SolverConfig:
+    """The solve's settings at radius inf; iters = null leaves each solver its own cap."""
     iters = config["iters"]
     try:
-        return SolverConfig(
+        solver_config = SolverConfig(
             mode=config["mode"],
-            lambda_=lambda_,
             max_iters=None if iters is None else int(iters),
             kappa0=float(config["kappa0"]),
             stop_tol=config["stop_tol"],
         )
+        check_method(solver_config, spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return solver_config
 
 
 def _load_truth(config: dict, collection: SequenceCollection) -> np.ndarray | None:
@@ -413,11 +397,7 @@ def _search_settings(config: dict) -> dict | None:
         return None
     if isinstance(raw, str):
         raw = {"strategy": raw}
-    settings = dict(_SEARCH_DEFAULTS)
-    for key, value in raw.items():
-        if key not in settings:
-            raise ConfigError(f"unknown search key {key!r}")
-        settings[key] = value
+    settings = _merge(_SEARCH_DEFAULTS, raw, "search")
     if settings["strategy"] not in SEARCH_STRATEGIES:
         raise ConfigError(f"search strategy must be one of {SEARCH_STRATEGIES}")
     return settings
@@ -459,10 +439,11 @@ def _radius_path(collection: SequenceCollection, config: dict, truth):
     whatever order the radii are solved in.
     """
     evaluator = _make_evaluator(collection, config)
+    solver_config = _solver_config(config, evaluator.spec)
     states: dict = {}
 
     def solve_fn(lam: float) -> ParameterMatrix:
-        params, states[lam] = solve(evaluator, _solver_config(config, lam))
+        params, states[lam] = solve(evaluator, dataclasses.replace(solver_config, lambda_=lam))
         return params
 
     problem = LambdaProblem(
@@ -564,9 +545,8 @@ def _load_embeddings(config: dict):
 def cmd_eval(config: dict) -> int:
     ids, labels, coords = _load_embeddings(config)
     out = _out_dir(config)
-    sigma = np.linalg.svd(coords, compute_uv=False) if coords.size else np.zeros(0)
     metrics = _metrics_skeleton(
-        approx_rank=approx_rank(sigma),
+        approx_rank=approx_rank_of(coords) if coords.size else 0,
         **{"lambda": config["lambda"]},
     )
     start = time.perf_counter()
@@ -696,15 +676,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", default=None, help="JSON config path")
-        cmd.add_argument("--lambda", dest="lambda_", default=None,
-                         help="nuclear radius, a number or 'inf'")
+        cmd.add_argument("--lambda", default=None, help="nuclear radius, a number or 'inf'")
         cmd.add_argument("--d", type=int, default=None, help="autoregressive order")
         cmd.add_argument("--iters", type=int, default=None, help="solver iterations")
         cmd.add_argument("--seed", type=int, default=None, help="random seed")
         cmd.add_argument("--link", default=None,
                          help="identity, softmax, exponential, or logistic")
-        cmd.add_argument("--window-g", dest="window_g", type=int, default=None,
-                         help="stochastic subwindow length")
+        cmd.add_argument("--window-g", type=int, default=None, help="stochastic subwindow length")
         cmd.add_argument("--out", default=None, help="output directory")
     return parser
 
@@ -721,7 +699,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, defaults = _DISPATCH[args.command]
     try:
-        config = _resolve_config(args, args.command, defaults)
+        config = _resolve_config(args, defaults)
         return handler(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

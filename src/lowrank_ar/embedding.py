@@ -49,6 +49,11 @@ def approx_rank(singular_values, threshold: float = 1e-2) -> int:
     return int(np.count_nonzero(s >= threshold * s[0]))
 
 
+def approx_rank_of(matrix) -> int:
+    """approx_rank of the singular values of a fit's (m, N) data, or any matrix."""
+    return approx_rank(np.linalg.svd(matrix, compute_uv=False))
+
+
 def factorize(params: ParameterMatrix, ids: list | None = None) -> EmbeddingResult:
     """Thin SVD of the parameter matrix, keeping sigma_i > _TRUNCATION_TOL * sigma_1.
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy import optimize
 
-from lowrank_ar.embedding import approx_rank
+from lowrank_ar.embedding import approx_rank_of
 from lowrank_ar.model import ParameterMatrix
 from lowrank_ar.nuclear import nuclear_norm
 
@@ -356,11 +356,6 @@ class LambdaSearchResult:
     best_params: ParameterMatrix
 
 
-def _solution_rank(params: ParameterMatrix) -> int:
-    sigma = np.linalg.svd(params.data, compute_uv=False)
-    return approx_rank(sigma)
-
-
 def lambda_search(
     problem: LambdaProblem,
     strategy: str = "brent",
@@ -377,7 +372,8 @@ def lambda_search(
     unconstrained fit (recorded at lambda = inf), then minimizes the
     objective over the bracket with scipy's bounded scalar minimizer at
     absolute tolerance tol, and returns the best score seen, so it never
-    returns worse than a fit it has scored.
+    returns worse than a fit it has scored (the bounded method's answer is
+    a point it has already evaluated).
     """
     if strategy not in SEARCH_STRATEGIES:
         raise ValueError(f"strategy must be one of {SEARCH_STRATEGIES}")
@@ -388,14 +384,14 @@ def lambda_search(
 
     if strategy == "bisect-to-rank1":
         lo, hi = 0.0, upper
-        rank_hi = _solution_rank(problem.solve(hi))
+        rank_hi = approx_rank_of(problem.solve(hi).data)
         tried += [lo, hi]
         scores += [0.0, float(rank_hi)]
         if rank_hi <= 1:
             return LambdaSearchResult(tried, scores, hi, problem.solve(hi))
         while hi - lo > _BISECT_REL_TOL * upper:
             mid = 0.5 * (lo + hi)
-            rank = _solution_rank(problem.solve(mid))
+            rank = approx_rank_of(problem.solve(mid).data)
             tried.append(mid)
             scores.append(float(rank))
             if rank <= 1:
@@ -406,7 +402,7 @@ def lambda_search(
         lo_params = problem.solve(lo) if lo > 0 else ParameterMatrix.zeros(
             unconstrained.channel_count, unconstrained.order, unconstrained.n_sequences
         )
-        if _solution_rank(lo_params) != 1:
+        if approx_rank_of(lo_params.data) != 1:
             warnings.warn("no radius with approximate rank exactly 1 was found")
         return LambdaSearchResult(tried, scores, lo, lo_params)
 
@@ -419,7 +415,7 @@ def lambda_search(
             score = problem.objective(objective, params)
             tried.append(lam)
             scores.append(score)
-            if _solution_rank(params) < full and score < best_score:
+            if approx_rank_of(params.data) < full and score < best_score:
                 best_lam, best_score, best_params = lam, score, params
         if best_lam is None:
             warnings.warn("no grid solution dropped below full rank; using best score")
@@ -434,11 +430,9 @@ def lambda_search(
         return score
 
     scalar_objective(math.inf)
-    result = optimize.minimize_scalar(
+    optimize.minimize_scalar(
         scalar_objective, bounds=(0.0, upper), method="bounded",
         options={"xatol": tol},
     )
-    if float(result.x) not in tried:
-        scalar_objective(float(result.x))
     best_lam = tried[int(np.argmin(scores))]
     return LambdaSearchResult(tried, scores, best_lam, problem.solve(best_lam))

@@ -1,24 +1,25 @@
 """Least-squares loss and the empirical monotone field over a slice set.
 
 With S slices of weight w = 1/N, raw observations Y (N, S, C), the
-measurement operator A = measurement.forward and its adjoint A*,
+measurement operator A = w * measurement.predictions and its adjoint
+A* = w * measurement.correlations,
 
     ls_loss(B) = (1/S) * || A(B) - w Y ||^2
     field(B)   = (1/S) * A*(w * (eta(z) - Y)),   z = A(B) / w,
 
-where the link eta acts on each sequence's C channels of z. Both are
-w^2/S times the operator's unweighted products measurement.predictions
-and measurement.correlations. Under the identity link
+where the link eta acts on each sequence's C channels of z. Both are w^2/S
+times the operator's unweighted products. Under the identity link
 
     field = (1/2) * grad ls_loss        (exact identity, asserted in tests).
 
 For any link, the field vanishes termwise at the generating parameters on
 noiseless data, and monotonicity of eta makes the field monotone.
 
-A set that is evaluated again (any explicit set, the full-horizon set of an
-EmpiricalField, or the fixed loss set of a stochastic one) serves the loss
-and the identity-link field from its normal equations G_i = X_i^T X_i,
-H_i = Y_i^T X_i, cached on first use:
+The loss has one implementation, gram_loss, which ls_loss, EmpiricalField
+and the splitting solver's history all call. It reads the set's normal
+equations G_i = X_i^T X_i, H_i = Y_i^T X_i, cached on first use, and so
+does the identity-link field on a set that is evaluated again (any
+explicit set, or the full-horizon set of an EmpiricalField):
 
     field = w^2/S * [R_i G_i - H_i]_i
     ls_loss = w^2/S * (sum_i <R_i, R_i G_i - 2 H_i> + sum_i ||Y_i||^2)
@@ -93,7 +94,8 @@ def _field_data(data: np.ndarray, link: LinkFunction, slices: SliceSet) -> np.nd
     return _scale(slices) * correlations(slices, resid)
 
 
-def _gram_loss(data: np.ndarray, slices: SliceSet) -> float:
+def gram_loss(data: np.ndarray, slices: SliceSet) -> float:
+    """ls_loss of the (m, N) parameter data, read from the set's normal equations."""
     rss = slices.normal_equations.residual_sum_of_squares(_rows(data, slices))
     return _scale(slices) * rss
 
@@ -114,13 +116,13 @@ def _set_field(data: np.ndarray, link: LinkFunction, slices: SliceSet) -> np.nda
 
 def ls_loss(params: ParameterMatrix, slices: SliceSet) -> float:
     """(1/S) * || A(B) - w Y ||^2, the mean squared forward residual per slice."""
-    check_compatible(slices, params)
-    return _gram_loss(params.data, slices)
+    check_compatible(slices, params.channel_count, params.order, params.n_sequences)
+    return gram_loss(params.data, slices)
 
 
 def field(spec: FieldSpec, params: ParameterMatrix, slices: SliceSet) -> np.ndarray:
     """Empirical field (1/S) * A*(w * (eta(z) - Y)) as an (m, N) array."""
-    check_compatible(slices, params)
+    check_compatible(slices, params.channel_count, params.order, params.n_sequences)
     return _set_field(params.data, spec.link, slices)
 
 
@@ -196,4 +198,4 @@ class EmpiricalField:
     def loss(self, data: np.ndarray) -> float:
         if self._loss_slices is None:
             self._loss_slices = self._draw(self._loss_seeds)
-        return _gram_loss(data, self._loss_slices)
+        return gram_loss(data, self._loss_slices)

@@ -7,12 +7,11 @@ regressor window xi_{i,t} of sequence i at slice s, and r_i (C, K) holds
 the rows of R_i, i.e. column i of the parameter matrix B. The operator maps
 B to the weighted predictions of every slice,
 
-    forward(B)  = w * [X_i r_i^T]_i            shape (N, S, C)
-    adjoint(Y)  = w * [vec(Y_i^T X_i)]_i       shape (m, N)
+    A(B)  = w * predictions(B)  = w * [X_i r_i^T]_i           shape (N, S, C)
+    A*(Y) = w * correlations(Y) = w * [vec(Y_i^T X_i)]_i      shape (m, N)
 
-with w = 1/N, and adjoint is its exact transpose: <forward(B), Y> =
-<B, adjoint(Y)> for all B, Y. Both rest on the unweighted products
-predictions() and correlations(), which the field and the loss apply too.
+with w = 1/N, and A* is its exact transpose: <A(B), Y> = <B, A*(Y)> for all
+B, Y. The field multiplies out the design with these unweighted products.
 
 Indexing or iterating a SliceSet yields MeasurementSlice views of one
 slice, whose target is on the operator scale (already multiplied by w).
@@ -40,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from lowrank_ar.model import ParameterMatrix, SequenceCollection
+from lowrank_ar.model import SequenceCollection
 
 
 @dataclass(frozen=True)
@@ -169,12 +168,16 @@ class SliceSet:
 # the operator
 
 
-def check_compatible(slices: SliceSet, params: ParameterMatrix) -> None:
-    """Raise ValueError unless params has the set's C, d and N."""
-    have = (params.channel_count, params.order, params.n_sequences)
-    want = (slices.channel_count, slices.order, slices.n_sequences)
+def check_compatible(
+    slices, channel_count: int, order: int, n_sequences: int | None = None
+) -> None:
+    """Raise ValueError unless slices is a SliceSet with this C and d (and N, if given)."""
+    if not isinstance(slices, SliceSet):
+        raise ValueError(f"expected a SliceSet, got {type(slices).__name__}")
+    have = (slices.channel_count, slices.order, slices.n_sequences)
+    want = (channel_count, order, slices.n_sequences if n_sequences is None else n_sequences)
     if have != want:
-        raise ValueError(f"params (C, d, N) = {have} do not match slices {want}")
+        raise ValueError(f"(C, d, N) = {want} do not match the slice set's {have}")
 
 
 def predictions(slices: SliceSet, data: np.ndarray) -> np.ndarray:
@@ -192,20 +195,6 @@ def correlations(slices: SliceSet, y: np.ndarray) -> np.ndarray:
     """
     prod = y.transpose(0, 2, 1) @ slices.regressors  # (N, C, K)
     return prod.reshape(slices.n_sequences, -1).T
-
-
-def forward(slices: SliceSet, params: ParameterMatrix) -> np.ndarray:
-    """w * [X_i r_i^T]_i, shape (N, S, C)."""
-    check_compatible(slices, params)
-    return slices.weight * predictions(slices, params.data)
-
-
-def adjoint(slices: SliceSet, y) -> np.ndarray:
-    """Transpose of forward: w * [vec(Y_i^T X_i)]_i, shape (m, N)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != slices.observations.shape:
-        raise ValueError(f"y has shape {y.shape}, expected {slices.observations.shape}")
-    return slices.weight * correlations(slices, y)
 
 
 # --------------------------------------------------------------------------

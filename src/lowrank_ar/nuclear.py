@@ -1,11 +1,13 @@
-"""The nuclear ball: capped-simplex projection and the prox step.
+"""The nuclear ball: capped-simplex projection, the ball projection and the prox step.
 
-The prox step at Z applied to X is the Euclidean projection of Z - X onto
-the nuclear ball {M : ||M||_* <= lambda}, the mirror step of the quadratic
-distance-generating function. It reduces to a singular-value problem: take
-the SVD of Y' = X - Z, project the singular values onto the capped simplex
-{t >= 0, sum t <= lambda} under the quadratic objective sum(t^2/2 - sigma*t),
-and reassemble with a negated diagonal.
+The Euclidean projection of M onto the nuclear ball {M : ||M||_* <= lambda}
+reduces to a singular-value problem: take the SVD M = U diag(sigma) V^T,
+project sigma onto the capped simplex {t >= 0, sum t <= lambda} under the
+quadratic objective sum(t^2/2 - sigma*t), and reassemble U diag(t) V^T.
+project_nuc is that projection, and every solver step takes it: the prox
+step at Z applied to X, the mirror step of the quadratic distance-generating
+function, is the projection of Z - X, and the splitting solver projects its
+copy Z.
 """
 
 from __future__ import annotations
@@ -47,19 +49,18 @@ def capped_simplex_project(sigma, radius: float) -> np.ndarray:
     return np.maximum(s - theta, 0.0)
 
 
-def prox_nuc(Z, X, radius: float) -> np.ndarray:
-    """Prox step at Z applied to X over the nuclear ball of the given radius.
+def project_nuc(M: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of M onto the nuclear ball of the given radius.
 
-    Computes Y' = X - Z, takes the SVD Y' = U diag(delta) V^T, projects
-    delta onto the capped simplex, and returns U diag(-t) V^T, which is
-    exactly the Euclidean projection of Z - X onto the ball. The output
-    always satisfies nuclear norm <= radius + 1e-9. radius = math.inf, the
-    sentinel for an unconstrained run, skips the projection entirely.
+    The output always satisfies nuclear norm <= radius + 1e-9. radius =
+    math.inf, the sentinel for an unconstrained run, returns M unchanged.
     """
-    y = X - Z
     if math.isinf(radius):
-        # projection inactive: U diag(-delta) V^T reassembles to -Y' exactly
-        return -y
-    u, delta, vt = np.linalg.svd(y, full_matrices=False)
-    t = capped_simplex_project(delta, radius)
-    return (u * -t) @ vt
+        return M
+    u, sigma, vt = np.linalg.svd(M, full_matrices=False)
+    return (u * capped_simplex_project(sigma, radius)) @ vt
+
+
+def prox_nuc(Z, X, radius: float) -> np.ndarray:
+    """Prox step at Z applied to X over the nuclear ball: project_nuc(Z - X)."""
+    return project_nuc(Z - X, radius)

@@ -21,8 +21,10 @@ magnitudes. It factors the per-sequence normal equations and fits OLS once
 per slice set (SliceSet.gram_eigen and SliceSet.ols), so every solve
 of a radius search or sweep after the first reuses them, and it iterates in
 the (N, m) layout, one row per sequence, with batched matrix products and
-one thin SVD per iteration; its history loss is read from the cached Gram
-matrices, so an iteration's cost does not grow with the number of slices S.
+one ball projection (nuclear.project_nuc, one thin SVD) per iteration; its
+history loss is field.gram_loss, read from the cached Gram matrices, so an
+iteration's cost does not grow with the number of slices S. check_method
+holds its preconditions: the identity link and the full-horizon set.
 
 kappa is never reset downward between iterations. Start kappa0
 low (the default is 1e-6): backtracking only raises it, and the first
@@ -53,10 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lowrank_ar.field import EmpiricalField
-from lowrank_ar.measurement import SliceSet
+from lowrank_ar.field import EmpiricalField, FieldSpec, gram_loss
+from lowrank_ar.measurement import SliceSet, check_compatible
 from lowrank_ar.model import ParameterMatrix
-from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm, prox_nuc
+from lowrank_ar.nuclear import nuclear_norm, project_nuc, prox_nuc
 
 _MODES = ("mirror-descent", "mirror-prox-backtracking", "admm-ls")
 _ADMM_TOL = 1e-10  # relative primal and dual residual at which the splitting stops
@@ -210,13 +212,19 @@ def mirror_prox_backtracking(field_fn, shape, config: SolverConfig, loss_fn=None
     return aggregate, state
 
 
+def check_method(config: SolverConfig, spec: FieldSpec) -> None:
+    """Raise ValueError unless config's method can solve the field spec describes."""
+    if config.mode == "admm-ls":
+        if spec.link.variant != "identity":
+            raise ValueError("admm-ls solves the least-squares problem: identity link only")
+        if spec.mode != "full-horizon":
+            raise ValueError("admm-ls needs the fixed full-horizon slice set, not window draws")
+
+
 def solve(evaluator: EmpiricalField, config: SolverConfig):
     """Dispatch on config.mode; returns (ParameterMatrix, SolverState)."""
+    check_method(config, evaluator.spec)
     if config.mode == "admm-ls":
-        if evaluator.spec.link.variant != "identity":
-            raise ValueError("admm-ls solves the least-squares problem: identity link only")
-        if evaluator.spec.mode != "full-horizon":
-            raise ValueError("admm-ls needs the fixed full-horizon slice set")
         return constrained_least_squares(
             evaluator.slices,
             evaluator.channel_count,
@@ -230,16 +238,6 @@ def solve(evaluator: EmpiricalField, config: SolverConfig):
     return ParameterMatrix(aggregate, evaluator.channel_count, evaluator.spec.order), state
 
 
-def _check_slices(slices: SliceSet, channel_count: int, order: int) -> None:
-    if not isinstance(slices, SliceSet):
-        raise ValueError(f"expected a SliceSet, got {type(slices).__name__}")
-    if slices.channel_count != channel_count or slices.order != order:
-        raise ValueError(
-            f"slice set has C={slices.channel_count}, d={slices.order}; "
-            f"expected C={channel_count}, d={order}"
-        )
-
-
 def least_squares_unconstrained(
     slices: SliceSet, channel_count: int, order: int
 ) -> ParameterMatrix:
@@ -249,7 +247,7 @@ def least_squares_unconstrained(
     ordinary least-squares solve on that sequence's regressor rows. The set
     fits once (SliceSet.ols); every call returns a fresh copy of that fit.
     """
-    _check_slices(slices, channel_count, order)
+    check_compatible(slices, channel_count, order)
     return ParameterMatrix(slices.ols, channel_count, order)
 
 
@@ -270,40 +268,34 @@ def constrained_least_squares(
     sweep on one set pays for them once, and the penalty weight rho can be
     rebalanced for free. The iteration runs in the (N, m) layout, one row
     per sequence: the ridge step is two batched products against V_i, the
-    projection one thin SVD of the (N, m) matrix, and the history's loss of
-    Z is read from the cached Grams, b_i^T G_i b_i - 2 h_i^T b_i + y_i^T y_i
-    per sequence, so no step of an iteration grows with the number of slices
-    S. Z is transposed back to (m, N) at the end. Deterministic; no
-    randomness anywhere. Returns (ParameterMatrix, SolverState); the history
-    logs the loss of Z, the primal residual in the field_norm column, and
-    rho in the kappa column. The state's termination is "slack",
-    "converged" or "iteration-cap".
+    projection is project_nuc of the (N, m) matrix, and the history's loss
+    of Z is gram_loss, read from the cached Grams, so no step of an
+    iteration grows with the number of slices S. Z is transposed back to
+    (m, N) at the end. Deterministic; no randomness anywhere. Returns
+    (ParameterMatrix, SolverState); the history logs the loss of Z, the
+    primal residual in the field_norm column, and rho in the kappa column.
+    The state's termination is "slack", "converged" or "iteration-cap".
 
     The iteration converges to the constrained optimum regardless of how
     badly scaled individual sequences are, which is what makes it the right
     tool for recovery studies on data with near-unstable draws.
     """
-    _check_slices(slices, channel_count, order)
+    check_compatible(slices, channel_count, order)
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     n = slices.n_sequences
     c = channel_count
-    scale = slices.weight**2 / len(slices)  # ls_loss(B) = scale * sum_i ||X_i b_i - y_i||^2
 
     unconstrained = least_squares_unconstrained(slices, c, order)
     if math.isinf(radius) or nuclear_norm(unconstrained.data) <= radius:
         # constraint slack at the unconstrained optimum: nothing to do
         return unconstrained, SolverState(t=0, history=[], termination="slack")
 
-    normal = slices.normal_equations
     evals, evecs = slices.gram_eigen
     evecs_t = evecs.transpose(0, 2, 1)
-    xty_v = normal.xty @ evecs  # H_i V_i, fixed for the whole solve
-
-    def loss_of(z: np.ndarray) -> float:
-        return scale * normal.residual_sum_of_squares(z.reshape(n, c, -1))
+    xty_v = slices.normal_equations.xty @ evecs  # H_i V_i, fixed for the whole solve
 
     def norm(a: np.ndarray) -> float:
         return math.sqrt(float(np.vdot(a, a)))
@@ -325,14 +317,13 @@ def constrained_least_squares(
         tmp /= evals[:, None, :] + rho / 2.0
         b = (tmp @ evecs_t).reshape(n, m)
         z_prev = z
-        uu, delta, vt = np.linalg.svd(b + u, full_matrices=False)
-        z = (uu * capped_simplex_project(delta, radius)) @ vt
+        z = project_nuc(b + u, radius)
         u = u + b - z
         primal = norm(b - z)
         dual = rho * norm(z - z_prev)
         history.append(
             HistoryRecord(
-                iteration=iteration, loss=loss_of(z), field_norm=primal,
+                iteration=iteration, loss=gram_loss(z.T, slices), field_norm=primal,
                 kappa=rho, gamma=1.0 / rho, backtracks=0,
             )
         )

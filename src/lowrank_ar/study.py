@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lowrank_ar.embedding import approx_rank, factorize, pca_project
+from lowrank_ar.embedding import approx_rank_of, factorize, pca_project
 from lowrank_ar.evalkit import LambdaProblem, ari, kmeans, lambda_search, reconstruction_error
 from lowrank_ar.measurement import enumerate_slices
 from lowrank_ar.model import ParameterMatrix, SequenceCollection
@@ -77,8 +77,8 @@ def recovery_run(collection: SequenceCollection, truth: ParameterMatrix) -> Reco
         err_best=problem.objective("reconstruction-error", best),
         best_lambda=result.best_lambda,
         ari=ari(collection.labels, part.assignments),
-        rank_unconstrained=approx_rank(np.linalg.svd(ols.data, compute_uv=False)),
-        rank_best=approx_rank(np.linalg.svd(best.data, compute_uv=False)),
+        rank_unconstrained=approx_rank_of(ols.data),
+        rank_best=approx_rank_of(best.data),
     )
 
 
@@ -127,5 +127,5 @@ def radius_sweep(
     errors = np.array([problem.objective("reconstruction-error", p) for p in fits])
     best = int(np.argmin(errors))
     _, explained = pca_project(factorize(fits[best]).coordinates, 2)
-    ranks = [approx_rank(np.linalg.svd(p.data, compute_uv=False)) for p in fits]
+    ranks = [approx_rank_of(p.data) for p in fits]
     return RadiusSweep(lambdas, errors, ranks, best, explained)

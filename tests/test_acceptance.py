@@ -29,7 +29,7 @@ from lowrank_ar.encoders import (
     encode_text,
 )
 from lowrank_ar.field import EmpiricalField, FieldSpec, ls_loss
-from lowrank_ar.measurement import adjoint, enumerate_slices, forward
+from lowrank_ar.measurement import correlations, enumerate_slices, predictions
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
 from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm
 from lowrank_ar.solver import (
@@ -103,8 +103,9 @@ def test_criterion_02_adjoint_identity(report):
                         gen.standard_normal((c * c * d + c, n)), c, d
                     )
                     y = gen.standard_normal((n, len(slices), c))
-                    lhs = float(np.vdot(forward(slices, params), y))
-                    rhs = float(np.vdot(params.data, adjoint(slices, y)))
+                    # A = w * predictions, A* = w * correlations
+                    lhs = float(np.vdot(slices.weight * predictions(slices, params.data), y))
+                    rhs = float(np.vdot(params.data, slices.weight * correlations(slices, y)))
                     worst = max(worst, abs(lhs - rhs))
                     count += 1
     dt = time.perf_counter() - t0

@@ -476,6 +476,107 @@ def test_ucr_round_trip(tmp_path):
     assert metrics["accuracy"] is not None
 
 
+# ---------------------------------------------------------------- text, FASTA and re-encoded inputs
+
+
+WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa")
+
+
+def embed_then_cluster(tmp_path, config, k=None):
+    """embed under config, then cluster its embeddings; returns (embed out, eval metrics)."""
+    cfg = tmp_path / "embed.json"
+    write_json(config, cfg)
+    out = tmp_path / "emb"
+    assert run(["embed", "--config", cfg, "--out", out]) == 0
+    eval_cfg = tmp_path / "eval.json"
+    write_json({"embeddings_path": str(out / "embeddings.csv"), "k": k}, eval_cfg)
+    assert run(["eval", "--config", eval_cfg, "--out", tmp_path / "scores"]) == 0
+    return out, read_json(tmp_path / "scores" / "metrics.json")
+
+
+def history_losses(out):
+    with open(out / "history.csv", newline="") as fh:
+        return [float(row["loss"]) for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("per_line", [False, True])
+def test_embed_text_documents(tmp_path, per_line):
+    # Huffman-coded symbol sequences live on the simplex: the link defaults to softmax
+    gen = np.random.default_rng(3)
+    docs = [" ".join(gen.choice(WORDS, size=120)) + "." for _ in range(6)]
+    if per_line:
+        (tmp_path / "lines.txt").write_text("\n".join(docs) + "\n")
+        source = {"format": "text", "path": str(tmp_path / "lines.txt"), "per_line": True}
+    else:
+        paths = [tmp_path / f"doc{i}.txt" for i in range(6)]
+        for path, doc in zip(paths, docs):
+            path.write_text(doc + "\n")
+        source = {"format": "text", "path": [str(p) for p in paths]}
+    out, metrics = embed_then_cluster(
+        tmp_path, {"input": source, "cutoff": 300, "d": 2, "iters": 16}, k=2
+    )
+    assert read_json(out / "manifest.json")["link"] == "softmax"
+    ids, labels, coords = read_embedding_csv(out / "embeddings.csv")
+    assert len(ids) == 6 and labels is None and coords.shape[1] == 6
+    losses = history_losses(out)
+    assert len(losses) == 16 and all(math.isfinite(v) for v in losses)
+    assert metrics["ari"] is None and len(read_labels_csv(tmp_path / "scores" / "assignments.csv")) == 6
+
+
+def test_embed_fasta_records_labelled_by_description(tmp_path):
+    # equal-length records: the slice set cuts every sequence to the shortest
+    gen = np.random.default_rng(4)
+    records = []
+    for i in range(6):
+        seq = "".join(gen.choice(list("ACGU"), size=150))
+        records.append(f">r{i} fam{i % 2}\n{seq[:70]}\n{seq[70:]}\n")
+    (tmp_path / "rna.fa").write_text("".join(records))
+    out, metrics = embed_then_cluster(
+        tmp_path, {"input": {"format": "fasta", "path": str(tmp_path / "rna.fa")},
+                   "d": 2, "iters": 16},
+    )
+    assert read_json(out / "manifest.json")["link"] == "softmax"
+    ids, labels, _ = read_embedding_csv(out / "embeddings.csv")
+    assert ids == [f"r{i}" for i in range(6)]
+    assert labels == [0, 1] * 3
+    assert all(math.isfinite(v) for v in history_losses(out))
+    assert -1.0 <= metrics["ari"] <= 1.0
+
+
+def test_embed_signal_diff_encoder(tmp_path, synth_dir):
+    # each univariate series becomes two channels: the signal and its difference
+    config = embed_config(synth_dir, encoder="signal-diff", d=2, iters=16)
+    config["lambda"] = 3.0
+    out, metrics = embed_then_cluster(tmp_path, config)
+    _, labels, coords = read_embedding_csv(out / "embeddings.csv")
+    assert coords.shape == (2 * 2 * 2 + 2, 10)  # m = C^2 d + C at C = 2
+    assert labels is not None and metrics["ari"] is not None
+    assert all(math.isfinite(v) for v in history_losses(out))
+
+
+def test_lambda_brent_spelling_runs_the_default_brent_search(tmp_path, synth_dir):
+    common = dict(mode="admm-ls", truth_path=str(synth_dir / "truth.csv"))
+    rc, spelled = run_embed(tmp_path, synth_dir, name="spelled", **common, **{"lambda": "brent"})
+    assert rc == 0
+    rc, explicit = run_embed(tmp_path, synth_dir, name="explicit", search={"strategy": "brent"}, **common)
+    assert rc == 0
+    for name in ("search.csv", "embeddings.csv", "history.csv"):
+        assert (spelled / name).read_bytes() == (explicit / name).read_bytes()
+
+
+def test_train_metric_grid_search(tmp_path, synth_dir):
+    # the score of a radius is minus the ARI of k-means on its embedding
+    rc, out = run_embed(
+        tmp_path, synth_dir, name="train_metric", mode="admm-ls",
+        search={"strategy": "grid", "objective": "train-metric", "n_points": 4},
+    )
+    assert rc == 0
+    rows = search_rows(out)
+    assert len(rows) == 4
+    assert all(-1.0 <= float(row[1]) <= 1.0 for row in rows)
+    assert read_json(out / "metrics.json")["lambda"] in [float(row[0]) for row in rows]
+
+
 # ---------------------------------------------------------------- config errors
 
 
@@ -544,6 +645,32 @@ def test_unknown_input_key_exits_2(tmp_path, synth_dir):
     cfg = tmp_path / "cfg.json"
     write_json(config, cfg)
     assert run(["embed", "--config", cfg, "--out", tmp_path / "out"]) == 2
+
+
+def test_unknown_search_key_exits_2(tmp_path, synth_dir):
+    rc, _ = run_embed(tmp_path, synth_dir, search={"strategy": "brent", "bogus": 1})
+    assert rc == 2
+
+
+@pytest.mark.parametrize("settings", [{"input": 5}, {"search": ["brent"]}])
+def test_settings_that_are_not_objects_exit_2(tmp_path, synth_dir, capsys, settings):
+    rc, _ = run_embed(tmp_path, synth_dir, **settings)
+    assert rc == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_flags_override_the_config_file(tmp_path, synth_dir):
+    cfg = tmp_path / "cfg.json"
+    write_json(embed_config(synth_dir, seed=1, link="logistic"), cfg)
+    out = tmp_path / "out"
+    argv = ["embed", "--config", cfg, "--out", out, "--lambda", "2", "--d", "2",
+            "--iters", "4", "--seed", "3", "--link", "identity", "--window-g", "12"]
+    assert run(argv) == 0
+    manifest = read_json(out / "manifest.json")
+    assert (manifest["lambda"], manifest["d"], manifest["iters"]) == ("2", 2, 4)
+    assert (manifest["seed"], manifest["link"], manifest["window_g"]) == (3, "identity", 12)
+    assert manifest["out"] == str(out)
+    assert len(history_losses(out)) == 4
 
 
 def _bad_input(tmp_path, case):

@@ -21,16 +21,18 @@ LINKS = ["identity", "softmax", "exponential", "logistic"]
 
 
 def field_oracle(link, params, slices):
-    """(1/S) sum_t w * outer(w eta(R_i xi) - target, xi), one slice and sequence at a time."""
+    """(1/S) sum_t w * outer(w eta(R_i xi) - w y, xi), one slice and sequence at a time."""
     c = params.channel_count
+    n, s_count, _ = slices.regressors.shape
+    w = 1.0 / n
     total = np.zeros_like(params.data)
-    for sl in slices:
-        for i in range(params.n_sequences):
-            xi = sl.regressors[i]
+    for t in range(s_count):
+        for i in range(n):
+            xi = slices.regressors[i, t]
             eta = _link_rows(link, params.data[:, i].reshape(c, -1) @ xi)
-            resid = sl.weight * eta - sl.target[i * c : (i + 1) * c]
-            total[:, i] += sl.weight * np.outer(resid, xi).reshape(-1)
-    return total / len(slices)
+            resid = w * eta - w * slices.observations[i, t]
+            total[:, i] += w * np.outer(resid, xi).reshape(-1)
+    return total / s_count
 
 
 def random_params_for(evaluator, rng, scale=1.0):
@@ -92,12 +94,14 @@ def test_field_spec_validation():
 def test_ls_loss_matches_loop(rng):
     ev = make_evaluator(rng, n=3, c=2, t_len=15, d=2)
     params = random_params_for(ev, rng)
+    n, s_count, _ = ev.slices.regressors.shape
+    w = 1.0 / n
     expected = 0.0
-    for sl in ev.slices:
-        for i in range(params.n_sequences):
-            z = params.data[:, i].reshape(2, -1) @ sl.regressors[i]
-            expected += float(np.sum((sl.weight * z - sl.target[2 * i : 2 * i + 2]) ** 2))
-    expected /= len(ev.slices)
+    for t in range(s_count):
+        for i in range(n):
+            z = params.data[:, i].reshape(2, -1) @ ev.slices.regressors[i, t]
+            expected += float(np.sum((w * z - w * ev.slices.observations[i, t]) ** 2))
+    expected /= s_count
     assert ls_loss(params, ev.slices) == pytest.approx(expected, rel=1e-12)
     assert ev.loss(params.data) == pytest.approx(expected, rel=1e-12)
 

@@ -5,9 +5,9 @@ import pytest
 
 from lowrank_ar.measurement import (
     SliceSet,
-    adjoint,
+    correlations,
     enumerate_slices,
-    forward,
+    predictions,
     sample_subwindow_slices,
 )
 from lowrank_ar.field import EmpiricalField, FieldSpec
@@ -28,35 +28,15 @@ def random_params(rng, n=4, c=2, d=3):
     )
 
 
-# ---------------------------------------------------------------- validation
-
-
-def test_forward_checks_compatibility(rng):
-    slices = random_slice_set(rng, n=3, c=2, d=3)
-    with pytest.raises(ValueError):
-        forward(slices, random_params(rng, n=3, c=1, d=3))
-    with pytest.raises(ValueError):
-        forward(slices, random_params(rng, n=3, c=2, d=2))
-    with pytest.raises(ValueError):
-        forward(slices, random_params(rng, n=4, c=2, d=3))
-
-
-def test_adjoint_checks_shape(rng):
-    slices = random_slice_set(rng, n=3, c=2, d=3, s=5)
-    with pytest.raises(ValueError):
-        adjoint(slices, rng.standard_normal((3, 4, 2)))
-    with pytest.raises(ValueError):
-        adjoint(slices, rng.standard_normal(3 * 5 * 2))
-
-
 # ---------------------------------------------------------------- operator
+# A(B) = w * predictions(B) and its adjoint A*(Y) = w * correlations(Y)
 
 
 def test_forward_matches_per_sequence_loop(rng):
     n, c, d, s = 4, 2, 3, 5
     slices = random_slice_set(rng, n=n, c=c, d=d, s=s)
     params = random_params(rng, n=n, c=c, d=d)
-    out = forward(slices, params)
+    out = slices.weight * predictions(slices, params.data)
     assert out.shape == (n, s, c)
     for i in range(n):
         for t in range(s):
@@ -68,7 +48,7 @@ def test_adjoint_matches_outer_product_loop(rng):
     n, c, d, s = 3, 2, 2, 4
     slices = random_slice_set(rng, n=n, c=c, d=d, s=s)
     y = rng.standard_normal((n, s, c))
-    out = adjoint(slices, y)
+    out = slices.weight * correlations(slices, y)
     assert out.shape == (c * c * d + c, n)
     for i in range(n):
         expected = np.zeros((c, c * d + 1))
@@ -83,8 +63,8 @@ def test_adjoint_identity(rng, c, d, n):
     slices = random_slice_set(rng, n=n, c=c, d=d, s=6)
     params = random_params(rng, n=n, c=c, d=d)
     y = rng.standard_normal((n, 6, c))
-    lhs = float(np.vdot(forward(slices, params), y))
-    rhs = float(np.vdot(params.data, adjoint(slices, y)))
+    lhs = float(np.vdot(slices.weight * predictions(slices, params.data), y))
+    rhs = float(np.vdot(params.data, slices.weight * correlations(slices, y)))
     scale = np.linalg.norm(params.data) * np.linalg.norm(y)
     assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
 
@@ -97,15 +77,13 @@ def test_enumerate_slices_count_and_targets(rng):
     d = 3
     slices = enumerate_slices(coll, d)
     assert len(slices) == 12 - d
-    w = 1.0 / coll.n_sequences
-    # slice 0 sits at t = d+1; its target stacks the observations there
-    first = slices[0]
-    assert first.weight == w
+    assert slices.weight == 1.0 / coll.n_sequences
+    # slice 0 sits at t = d+1; its observations are the values there
     for i, seq in enumerate(coll.sequences):
-        assert np.allclose(first.target[2 * i : 2 * i + 2], w * seq[:, d])
+        assert np.array_equal(slices.observations[i, 0], seq[:, d])
         # bias, then steps d .. 1 newest first, the channels of a step contiguous
         window = seq[:, :d][:, ::-1].T.reshape(-1)
-        assert np.array_equal(first.regressors[i], np.concatenate(([1.0], window)))
+        assert np.array_equal(slices.regressors[i, 0], np.concatenate(([1.0], window)))
 
 
 def test_enumerate_slices_regressor_layout():
@@ -168,9 +146,8 @@ def test_subwindow_slices_shape_and_determinism(rng):
     a = sample_subwindow_slices(coll, d, window, np.random.default_rng(5))
     b = sample_subwindow_slices(coll, d, window, np.random.default_rng(5))
     assert len(a) == window - d
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.regressors, sb.regressors)
-        assert np.array_equal(sa.target, sb.target)
+    assert np.array_equal(a.regressors, b.regressors)
+    assert np.array_equal(a.observations, b.observations)
 
 
 def test_subwindow_slices_draws_vary(rng):
@@ -178,9 +155,7 @@ def test_subwindow_slices_draws_vary(rng):
     gen = np.random.default_rng(6)
     a = sample_subwindow_slices(coll, 2, 10, gen)
     b = sample_subwindow_slices(coll, 2, 10, gen)
-    assert not all(
-        np.array_equal(sa.regressors, sb.regressors) for sa, sb in zip(a, b)
-    )
+    assert not np.array_equal(a.regressors, b.regressors)
 
 
 def test_subwindow_slices_window_bounds(rng):
@@ -214,7 +189,7 @@ def test_subwindow_slices_use_contiguous_windows():
     slices = sample_subwindow_slices(coll, 1, 5, np.random.default_rng(1))
     assert len(slices) == 4
     for i, seq in enumerate(coll.sequences):
-        vals = [sl.regressors[i, 1] for sl in slices]
+        vals = slices.regressors[i, :, 1]
         # consecutive slice regressors step through the window one step apart
         assert np.allclose(np.diff(vals), 1.0)
         assert vals[0] >= seq[0, 0] and vals[-1] <= seq[0, -1]

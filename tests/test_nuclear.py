@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import optimize
 
-from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm, prox_nuc
+from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm, project_nuc, prox_nuc
 
 
 def project_via_root(sigma, radius):
@@ -111,6 +111,24 @@ def test_capped_simplex_distance_shrinks_with_radius(s, r1, r2):
     d_lo = np.linalg.norm(capped_simplex_project(s, lo) - s)
     d_hi = np.linalg.norm(capped_simplex_project(s, hi) - s)
     assert d_hi <= d_lo + 1e-9
+
+
+# -------------------------------------------------------------------- projection
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (4, 9), (12, 3)])
+def test_project_nuc_matches_root_oracle(rng, shape):
+    for _ in range(10):
+        M = rng.standard_normal(shape)
+        radius = float(rng.uniform(0.2, 1.0)) * nuclear_norm(M)
+        ours = project_nuc(M, radius)
+        assert np.max(np.abs(ours - project_matrix_oracle(M, radius))) <= 1e-10
+        assert nuclear_norm(ours) <= radius + 1e-9
+
+
+def test_project_nuc_at_infinite_radius_returns_its_input(rng):
+    M = rng.standard_normal((3, 5))
+    assert project_nuc(M, math.inf) is M
 
 
 # -------------------------------------------------------------------- prox

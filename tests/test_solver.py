@@ -16,6 +16,7 @@ from lowrank_ar.solver import (
     SolverConfig,
     SolverError,
     SolverState,
+    check_method,
     constrained_least_squares,
     least_squares_unconstrained,
     mirror_descent,
@@ -46,11 +47,10 @@ def fista_oracle(slices, order, radius, iters=4000):
     Scalar sequences only. The projection reuses the root-finding oracle,
     so no package projection code is on this path.
     """
-    n = slices.n_sequences
-    s_count = len(slices)
-    w = slices[0].weight
-    design = np.stack([s.regressors for s in slices], axis=1)  # (N, S, K)
-    targets = np.stack([s.target for s in slices], axis=1)  # (N, S) scalar channels
+    design = slices.regressors  # (N, S, K)
+    n, s_count, _ = design.shape
+    w = 1.0 / n
+    targets = w * slices.observations[:, :, 0]  # (N, S) scalar channels, weighted
     scale = 2.0 * w / s_count
     grams = np.einsum("nsk,nsl->nkl", design, design)  # (N, K, K)
     lip = scale * w * max(float(np.linalg.eigvalsh(g)[-1]) for g in grams)
@@ -278,6 +278,17 @@ def test_solve_rejects_admm_with_stochastic_slices(rng):
     ev = EmpiricalField(coll, spec)
     with pytest.raises(ValueError, match="full-horizon"):
         solve(ev, SolverConfig(mode="admm-ls", lambda_=1.0))
+
+
+def test_check_method_gates_admm_only():
+    identity, softmax = LinkFunction("identity"), LinkFunction("softmax")
+    windowed = FieldSpec(link=identity, order=2, mode="stochastic-subwindow", window=10)
+    for spec in (FieldSpec(link=softmax, order=2), windowed):
+        with pytest.raises(ValueError, match="admm-ls"):
+            check_method(SolverConfig(mode="admm-ls"), spec)
+        for mode in ("mirror-descent", "mirror-prox-backtracking"):
+            check_method(SolverConfig(mode=mode), spec)
+    check_method(SolverConfig(mode="admm-ls"), FieldSpec(link=identity, order=2))
 
 
 # ---------------------------------------------------------------- stochastic windows
