@@ -9,10 +9,10 @@ Usage: python3 scripts/sweep_figure.py [--seed 1] [--points 20] [--out sweep.csv
 """
 
 import argparse
-import csv
 
 import numpy as np
 
+from lowrank_ar.dataio import write_csv
 from lowrank_ar.study import radius_sweep
 from lowrank_ar.synthetic import gen_benchmark, standard_class_specs
 
@@ -39,10 +39,7 @@ def main():
     for lam, err, rank in rows:
         print(f"lambda {lam:8.3f}  err {err:.4f}  rank {rank}")
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "reconstruction_error", "approx_rank"])
-        writer.writerows(rows)
+    write_csv(args.out, ["lambda", "reconstruction_error", "approx_rank"], rows)
 
     best = sweep.best
     print(

@@ -5,8 +5,9 @@ writes a manifest.json echoing the fully resolved configuration (defaults
 included) into the output directory. Rerunning any command from its
 manifest reproduces the outputs byte for byte.
 
-embed and sweep fit through one radius path per collection (an
-evalkit.LambdaProblem), which solves each radius once.
+This module only parses settings and wires the layers: embed and sweep fit
+through one radius path per collection (evalkit.radius_path), which solves
+each radius once, and every file is written by dataio.
 
 Exit codes: 0 success, 2 configuration or input error, 3 numerical failure
 (a zero unconstrained fit among them: it leaves no radius to choose).
@@ -15,7 +16,6 @@ Exit codes: 0 success, 2 configuration or input error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 import time
@@ -34,19 +34,17 @@ from lowrank_ar.evalkit import (
     knn_classify,
     lambda_search,
     nmi,
-    reconstruction_error,
+    radius_path,
 )
 from lowrank_ar.field import EmpiricalField, FieldSpec
-from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
-from lowrank_ar.solver import SolverConfig, SolverError, check_method, solve, write_history_csv
+from lowrank_ar.model import LinkFunction, SequenceCollection
+from lowrank_ar.solver import SolverConfig, SolverError, check_method
 from lowrank_ar.synthetic import (
     GenClassSpec,
     UnstableCoefficientsError,
     gen_benchmark,
     standard_class_specs,
 )
-
-_LAMBDA_FMT = "%.17g"
 
 _METRIC_KEYS = ("ari", "nmi", "accuracy", "macro_f1", "approx_rank", "lambda", "runtime_seconds")
 
@@ -234,8 +232,8 @@ def cmd_synth(config: dict) -> int:
     out = _out_dir(config)
     dataio.write_collection_csv(collection, out / "dataset.csv")
     dataio.write_labels_csv(collection.ids, collection.labels, out / "labels.csv")
-    # rows 1..d of the truth matrix; the bias row is identically zero
-    dataio.write_matrix_csv(truth.data[1:], out / "truth.csv", column_names=collection.ids)
+    # the bias row is identically zero
+    dataio.write_matrix_csv(truth.lag_rows, out / "truth.csv", column_names=collection.ids)
     _write_manifest(config, out)
     print(f"wrote {len(collection.ids)} sequences to {out}")
     return 0
@@ -347,45 +345,23 @@ def _resolve_link(config: dict, collection: SequenceCollection) -> str:
     return link
 
 
-def _make_evaluator(collection: SequenceCollection, config: dict) -> EmpiricalField:
-    link = LinkFunction(config["link"])
-    window = config["window_g"]
+def _read(reader, path):
+    """reader(path); a missing or malformed file is a ConfigError that names it."""
     try:
-        spec = FieldSpec(
-            link=link,
-            order=int(config["d"]),
-            mode="full-horizon" if window is None else "stochastic-subwindow",
-            window=None if window is None else int(window),
-            seed=config["seed"],
-        )
-        return EmpiricalField(collection, spec)
+        return reader(path)
+    except FileNotFoundError:
+        raise ConfigError(f"input file not found: {path}") from None
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _solver_config(config: dict, spec: FieldSpec) -> SolverConfig:
-    """The solve's settings at radius inf; iters = null leaves each solver its own cap."""
-    iters = config["iters"]
-    try:
-        solver_config = SolverConfig(
-            mode=config["mode"],
-            max_iters=None if iters is None else int(iters),
-            kappa0=float(config["kappa0"]),
-            stop_tol=config["stop_tol"],
-        )
-        check_method(solver_config, spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return solver_config
+        raise ConfigError(f"could not read input: {exc}") from None
 
 
 def _load_truth(config: dict, collection: SequenceCollection) -> np.ndarray | None:
     if config["truth_path"] is None:
         return None
-    names, lag_block = dataio.read_matrix_csv(config["truth_path"])
+    names, lag_rows = _read(dataio.read_matrix_csv, config["truth_path"])
     if list(names) != list(collection.ids):
         raise ConfigError("truth matrix columns do not match collection ids")
-    return lag_block
+    return lag_rows
 
 
 def _search_settings(config: dict) -> dict | None:
@@ -403,60 +379,34 @@ def _search_settings(config: dict) -> dict | None:
     return settings
 
 
-def _lag_block(params: ParameterMatrix, channel_count: int) -> np.ndarray:
-    # drop each sequence's bias column before comparing against stored truth
-    n = params.data.shape[1]
-    per_channel = params.data.reshape(channel_count, -1, n)
-    return per_channel[:, 1:, :].reshape(-1, n)
-
-
-def _search_objectives(collection, truth, config) -> dict:
-    objectives: dict = {}
-    if truth is not None:
-        objectives["reconstruction-error"] = lambda p: reconstruction_error(
-            truth, _lag_block(p, collection.channel_count)
+def _radius_path(collection: SequenceCollection, config: dict):
+    """The collection's field, its radius path, and each solved radius's SolverState."""
+    truth_lag = _load_truth(config, collection)
+    window, iters = config["window_g"], config["iters"]
+    try:
+        spec = FieldSpec(
+            link=LinkFunction(config["link"]),
+            order=int(config["d"]),
+            mode="full-horizon" if window is None else "stochastic-subwindow",
+            window=None if window is None else int(window),
+            seed=config["seed"],
         )
-    if collection.labels is not None:
-        labels = np.asarray(collection.labels)
-        k = len(set(labels.tolist()))
-        seed = config["seed"]
-
-        def train_metric(params: ParameterMatrix) -> float:
-            coords = factorize(params, ids=list(collection.ids)).coordinates
-            part = kmeans(coords, k, np.random.default_rng(seed), restarts=4)
-            return -ari(labels, part.assignments)
-
-        objectives["train-metric"] = train_metric
-    return objectives
-
-
-def _radius_path(collection: SequenceCollection, config: dict, truth):
-    """The radius path, each solved radius's SolverState, and the field it reads.
-
-    Every radius shares one field. A stochastic field's draws depend only on
-    the seed and the solver step, so every radius's solve sees the same
-    window draw at each step, and every sweep loss reads the same fixed set,
-    whatever order the radii are solved in.
-    """
-    evaluator = _make_evaluator(collection, config)
-    solver_config = _solver_config(config, evaluator.spec)
-    states: dict = {}
-
-    def solve_fn(lam: float) -> ParameterMatrix:
-        params, states[lam] = solve(evaluator, dataclasses.replace(solver_config, lambda_=lam))
-        return params
-
-    problem = LambdaProblem(
-        solve_fn=solve_fn, objectives=_search_objectives(collection, truth, config)
-    )
-    return problem, states, evaluator
-
-
-def _upper(problem: LambdaProblem) -> float:
-    try:  # a zero unconstrained fit leaves no radius to choose: a numerical failure
-        return problem.upper
+        evaluator = EmpiricalField(collection, spec)
+        # the solve's settings at radius inf; iters = null leaves each solver its own cap
+        solver_config = SolverConfig(
+            mode=config["mode"],
+            max_iters=None if iters is None else int(iters),
+            kappa0=float(config["kappa0"]),
+            stop_tol=config["stop_tol"],
+        )
+        check_method(solver_config, spec)
     except ValueError as exc:
-        raise SolverError(str(exc)) from None
+        raise ConfigError(str(exc)) from None
+    problem, states = radius_path(
+        evaluator, solver_config, truth_lag=truth_lag, labels=collection.labels,
+        seed=config["seed"],
+    )
+    return evaluator, problem, states
 
 
 def _write_search_csv(result, states: dict, path: Path) -> None:
@@ -465,25 +415,22 @@ def _write_search_csv(result, states: dict, path: Path) -> None:
     iterations and termination stay empty for a radius that needed no solve
     (bisect's lambda = 0, the zero matrix).
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("lambda,score,iterations,termination\n")
-        for lam, score in zip(result.lambdas_tried, result.scores):
-            state = states.get(lam)
-            solved = ["", ""] if state is None else [str(state.t), state.termination]
-            fh.write(",".join([_LAMBDA_FMT % lam, _LAMBDA_FMT % score, *solved]) + "\n")
+    rows = []
+    for lam, score in zip(result.lambdas_tried, result.scores):
+        state = states.get(lam)
+        rows.append([lam, score] + (["", ""] if state is None else [state.t, state.termination]))
+    dataio.write_csv(path, ["lambda", "score", "iterations", "termination"], rows)
 
 
 def cmd_embed(config: dict) -> int:
     collection, roles = _ingest(config)
     config["link"] = _resolve_link(config, collection)
     out = _out_dir(config)
-    truth = _load_truth(config, collection)
-    problem, states, _ = _radius_path(collection, config, truth)
+    _, problem, states = _radius_path(collection, config)
     search = _search_settings(config)
 
     start = time.perf_counter()
     if search is not None:
-        _upper(problem)
         try:
             result = lambda_search(
                 problem,
@@ -501,14 +448,14 @@ def cmd_embed(config: dict) -> int:
         params = problem.solve(lam)
     runtime = time.perf_counter() - start
     if lam > 0 and not np.any(params.data):
-        raise SolverError(f"the fit at radius lambda = {_LAMBDA_FMT % lam} collapsed "
+        raise SolverError(f"the fit at radius lambda = {lam:.17g} collapsed "
                           "to the zero matrix, which has no embedding")
 
     embedding = factorize(params, ids=list(collection.ids))
     write_embedding_csv(embedding, out / "embeddings.csv", labels=collection.labels)
     # bisect can settle on lambda = 0 (the zero matrix) without a solve
     state = states.get(lam)
-    write_history_csv(state.history if state is not None else [], out / "history.csv")
+    dataio.write_history_csv(state.history if state is not None else [], out / "history.csv")
     if roles is not None:
         dataio.write_split_csv(collection.ids, roles, out / "split.csv")
     metrics = _metrics_skeleton(
@@ -529,12 +476,9 @@ def cmd_embed(config: dict) -> int:
 
 
 def _load_embeddings(config: dict):
-    try:
-        ids, labels, coords = read_embedding_csv(config["embeddings_path"])
-    except FileNotFoundError:
-        raise ConfigError(f"embeddings file not found: {config['embeddings_path']}") from None
+    ids, labels, coords = _read(read_embedding_csv, config["embeddings_path"])
     if labels is None and config["labels_path"] is not None:
-        by_id = dataio.read_labels_csv(config["labels_path"])
+        by_id = _read(dataio.read_labels_csv, config["labels_path"])
         try:
             labels = [by_id[i] for i in ids]
         except KeyError as exc:
@@ -555,7 +499,7 @@ def cmd_eval(config: dict) -> int:
             raise ConfigError("classification mode needs split_path")
         if labels is None:
             raise ConfigError("classification mode needs labels")
-        roles = dataio.read_split_csv(config["split_path"])
+        roles = _read(dataio.read_split_csv, config["split_path"])
         try:
             role_arr = np.array([roles[i] for i in ids])
         except KeyError as exc:
@@ -600,7 +544,7 @@ def cmd_eval(config: dict) -> int:
 
 
 def _sweep_lambdas(config: dict, problem: LambdaProblem) -> np.ndarray:
-    upper = config["upper"] if config["upper"] is not None else _upper(problem)
+    upper = config["upper"] if config["upper"] is not None else problem.upper
     lower = config["lower"] if config["lower"] is not None else 1e-2 * upper
     if not 0 < lower < upper:
         raise ConfigError(f"need 0 < lower < upper, got [{lower}, {upper}]")
@@ -611,50 +555,32 @@ def cmd_sweep(config: dict) -> int:
     collection, _ = _ingest(config)
     config["link"] = _resolve_link(config, collection)
     out = _out_dir(config)
-    truth = _load_truth(config, collection)
-    problem, _, evaluator = _radius_path(collection, config, truth)
-    labels = np.asarray(collection.labels) if collection.labels is not None else None
+    evaluator, problem, _ = _radius_path(collection, config)
+    labels = collection.labels
     k = config["k"]
     if k is None and labels is not None:
-        k = len(set(labels.tolist()))
+        k = len(set(labels))
 
-    sweep_path = out / "sweep.csv"
-    header = ["lambda", "loss", "reconstruction_error", "approx_rank", "ari"]
-    done: dict = {}
-    if sweep_path.exists():
-        with open(sweep_path, encoding="utf-8") as fh:
-            rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-        if rows and rows[0] == header:
-            done = {row[0]: row for row in rows[1:]}
-
-    lambdas = _sweep_lambdas(config, problem)
-    table: list = []
-    for index, lam in enumerate(lambdas.tolist()):
-        key = _LAMBDA_FMT % lam
-        if key in done:
-            table.append(done[key])
-            continue
+    rows = []
+    for index, lam in enumerate(_sweep_lambdas(config, problem).tolist()):
         params = problem.solve(lam)
-        # a stochastic loss reads one fixed window set, so rows are resume-invariant
-        loss = evaluator.loss(params.data)
-        embedding = factorize(params, ids=list(collection.ids))
-        row = [key, _LAMBDA_FMT % loss, "", str(embedding.approx_rank), ""]
-        if truth is not None:
-            row[2] = _LAMBDA_FMT % problem.objective("reconstruction-error", params)
+        embedding = factorize(params)
+        row = [lam, evaluator.loss(params.data), "", embedding.approx_rank, ""]
+        if "reconstruction-error" in problem.objectives:
+            row[2] = problem.objective("reconstruction-error", params)
         if labels is not None:
             part = kmeans(
                 embedding.coordinates, int(k),
                 np.random.default_rng([config["seed"], index]),
                 restarts=4,
             )
-            row[4] = _LAMBDA_FMT % ari(labels, part.assignments)
-        table.append(row)
-    with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(",".join(row) + "\n")
+            row[4] = ari(labels, part.assignments)
+        rows.append(row)
+    sweep_path = out / "sweep.csv"
+    header = ["lambda", "loss", "reconstruction_error", "approx_rank", "ari"]
+    dataio.write_csv(sweep_path, header, rows)
     _write_manifest(config, out)
-    print(f"swept {len(table)} penalty levels into {sweep_path}")
+    print(f"swept {len(rows)} penalty levels into {sweep_path}")
     return 0
 
 

@@ -1,7 +1,10 @@
-"""File formats: CSV for series and matrices, JSON for configs and metrics.
+"""File formats: CSV for series, matrices and run records, JSON for configs and metrics.
 
-All CSV files are UTF-8 with a header row and '.' decimals. Floats are
-written with repr-faithful %.17g so a write/read cycle is bitwise exact.
+This is the only module that writes a file format; every CSV the package
+writes goes through write_csv and every CSV it reads back through read_csv.
+All CSV files are UTF-8 with a header row, '.' decimals and csv.writer's
+CRLF line ends. Floats are written with repr-faithful %.17g so a
+write/read cycle is bitwise exact.
 """
 
 from __future__ import annotations
@@ -17,20 +20,49 @@ from lowrank_ar.model import SequenceCollection
 _FLOAT_FMT = "%.17g"
 
 
-def _fmt(v: float) -> str:
-    return _FLOAT_FMT % v
+def write_csv(path, header, rows) -> None:
+    """A header row, then one line per row: floats (numpy's too) as %.17g, other cells by str."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [_FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row] for row in rows
+        )
+
+
+def read_csv(path, parse=list) -> tuple[list, list]:
+    """(header, [parse(row) for each row]) of a CSV file with a header row.
+
+    Blank rows are skipped. A row whose width differs from the header's, or
+    that parse rejects with ValueError, raises ValueError naming the file
+    and line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no header row")
+        rows = []
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields where the header has {len(header)}")
+                rows.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return header, rows
 
 
 def write_collection_csv(collection: SequenceCollection, path) -> None:
     """One row per time step: id, t (1-indexed), then one column per channel."""
-    c = collection.channel_count
-    header = ["id", "t"] + [f"c{j + 1}" for j in range(c)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for seq_id, seq in zip(collection.ids, collection.sequences):
-            for t in range(seq.shape[1]):
-                writer.writerow([seq_id, t + 1] + [_fmt(v) for v in seq[:, t]])
+    header = ["id", "t"] + [f"c{j + 1}" for j in range(collection.channel_count)]
+    write_csv(path, header, (
+        [seq_id, t] + values
+        for seq_id, seq in zip(collection.ids, collection.sequences)
+        for t, values in enumerate(seq.T.tolist(), start=1)
+    ))
 
 
 def read_collection_csv(path, labels_path=None, kind: str = "real") -> SequenceCollection:
@@ -39,26 +71,19 @@ def read_collection_csv(path, labels_path=None, kind: str = "real") -> SequenceC
     Each id's t column must read 1, 2, ..., T, and a labels file must name
     every id; otherwise ValueError names the offending file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n_channels = len(header) - 2
-        if n_channels < 1:
-            raise ValueError("collection CSV needs at least one channel column")
-        order: list = []
-        rows: dict = {}
-        for row in reader:
-            seq_id = row[0]
-            if seq_id not in rows:
-                rows[seq_id] = []
-                order.append(seq_id)
-            steps = rows[seq_id]
-            if row[1] != str(len(steps) + 1):
-                raise ValueError(
-                    f"{path}: id {seq_id!r} has t = {row[1]} where t = {len(steps) + 1} "
-                    "was expected (t must run 1..T in order)"
-                )
-            steps.append([float(v) for v in row[2:]])
+    header, table = read_csv(path, lambda row: (row[0], row[1], [float(v) for v in row[2:]]))
+    if len(header) < 3:
+        raise ValueError("collection CSV needs at least one channel column")
+    rows: dict = {}
+    for seq_id, t, values in table:
+        steps = rows.setdefault(seq_id, [])
+        if t != str(len(steps) + 1):
+            raise ValueError(
+                f"{path}: id {seq_id!r} has t = {t} where t = {len(steps) + 1} "
+                "was expected (t must run 1..T in order)"
+            )
+        steps.append(values)
+    order = list(rows)
     sequences = tuple(np.array(rows[sid]).T for sid in order)
     labels = None
     if labels_path is not None:
@@ -73,18 +98,11 @@ def read_collection_csv(path, labels_path=None, kind: str = "real") -> SequenceC
 
 
 def write_labels_csv(ids, labels, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"])
-        for seq_id, label in zip(ids, labels):
-            writer.writerow([seq_id, int(label)])
+    write_csv(path, ["id", "label"], ([seq_id, int(label)] for seq_id, label in zip(ids, labels)))
 
 
 def read_labels_csv(path) -> dict:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return {row[0]: int(row[1]) for row in reader}
+    return dict(read_csv(path, lambda row: (row[0], int(row[1])))[1])
 
 
 def write_matrix_csv(matrix, path, column_names=None) -> None:
@@ -94,37 +112,33 @@ def write_matrix_csv(matrix, path, column_names=None) -> None:
         column_names = [f"col_{i}" for i in range(matrix.shape[1])]
     if len(column_names) != matrix.shape[1]:
         raise ValueError("one column name per matrix column required")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(column_names))
-        for row in matrix:
-            writer.writerow([_fmt(v) for v in row])
+    write_csv(path, list(column_names), matrix.tolist())
 
 
 def read_matrix_csv(path) -> tuple[list, np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        names = next(reader)
-        data = [[float(v) for v in row] for row in reader]
-    return names, np.array(data, dtype=float)
+    names, rows = read_csv(path, lambda row: [float(v) for v in row])
+    return names, np.array(rows, dtype=float)
 
 
 def write_split_csv(ids, roles, path) -> None:
     """Sidecar marking each sequence 'train' or 'test'."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "role"])
-        for seq_id, role in zip(ids, roles):
-            if role not in ("train", "test"):
-                raise ValueError(f"role must be 'train' or 'test', got {role!r}")
-            writer.writerow([seq_id, role])
+    roles = list(roles)
+    for role in roles:
+        if role not in ("train", "test"):
+            raise ValueError(f"role must be 'train' or 'test', got {role!r}")
+    write_csv(path, ["id", "role"], zip(ids, roles))
 
 
 def read_split_csv(path) -> dict:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return {row[0]: row[1] for row in reader}
+    return dict(read_csv(path, lambda row: (row[0], row[1]))[1])
+
+
+def write_history_csv(history, path) -> None:
+    """One row per solver iteration of a SolverState's history."""
+    write_csv(path, ["iter", "loss", "field_norm", "kappa", "gamma", "backtracks"], (
+        [rec.iteration, rec.loss, rec.field_norm, rec.kappa, rec.gamma, rec.backtracks]
+        for rec in history
+    ))
 
 
 def read_ucr_file(path) -> tuple[list, list]:

@@ -8,12 +8,12 @@ columns matches Euclidean geometry on the parameter columns.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from lowrank_ar import dataio
 from lowrank_ar.model import ParameterMatrix
 
 _TRUNCATION_TOL = 1e-10
@@ -112,29 +112,19 @@ def write_embedding_csv(result: EmbeddingResult, path, labels: list | None = Non
     if labels is not None:
         header.append("label")
     header += [f"dim_{j + 1}" for j in range(result.r)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, seq_id in enumerate(result.ids):
-            row = [seq_id]
-            if labels is not None:
-                row.append(labels[i])
-            row += [f"{v:.17g}" for v in result.coordinates[:, i]]
-            writer.writerow(row)
+    rows = result.coordinates.T.tolist()
+    if labels is not None:
+        rows = [[label] + row for label, row in zip(labels, rows)]
+    dataio.write_csv(path, header, ([seq_id] + row for seq_id, row in zip(result.ids, rows)))
 
 
 def read_embedding_csv(path):
     """Inverse of write_embedding_csv: returns (ids, labels_or_None, coordinates)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        has_labels = len(header) > 1 and header[1] == "label"
-        start = 2 if has_labels else 1
-        ids, labels, rows = [], [], []
-        for row in reader:
-            ids.append(row[0])
-            if has_labels:
-                labels.append(int(row[1]))
-            rows.append([float(v) for v in row[start:]])
-    coords = np.array(rows, dtype=float).T if rows else np.zeros((0, 0))
-    return ids, (labels if has_labels else None), coords
+    header, rows = dataio.read_csv(path)
+    start = 2 if header[1:2] == ["label"] else 1
+    try:
+        labels = [int(row[1]) for row in rows] if start == 2 else None
+        coords = np.array([[float(v) for v in row[start:]] for row in rows], dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return [row[0] for row in rows], labels, (coords.T if rows else np.zeros((0, 0)))

@@ -2,6 +2,8 @@
 
 The search walks a LambdaProblem, the radius path of one collection: it
 solves each radius once, keeps every fit and owns the bracket top, upper.
+radius_path builds the one every caller uses, from a field and a solver
+config, with the reconstruction-error and train-metric objectives.
 
 Points are always columns: an r x N matrix holds N points in R^r, matching
 the embedding module's coordinate layout. All metrics are hand-rolled so
@@ -11,6 +13,7 @@ than inherited from a library version.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -19,9 +22,10 @@ from functools import cached_property
 import numpy as np
 from scipy import optimize
 
-from lowrank_ar.embedding import approx_rank_of
+from lowrank_ar.embedding import approx_rank_of, factorize
 from lowrank_ar.model import ParameterMatrix
 from lowrank_ar.nuclear import nuclear_norm
+from lowrank_ar.solver import SolverError, solve
 
 KNN_GRID = (1, 2, 4, 8, 16)
 CV_FOLDS = 5
@@ -333,10 +337,10 @@ class LambdaProblem:
 
     @cached_property
     def upper(self) -> float:
-        """||solve(inf)||_*; raises ValueError when the unconstrained fit is zero."""
+        """||solve(inf)||_*; a zero unconstrained fit leaves no radius, a SolverError."""
         upper = nuclear_norm(self.solve(math.inf).data)
         if upper <= 0:
-            raise ValueError("the unconstrained fit is zero, so no radius is left to choose")
+            raise SolverError("the unconstrained fit is zero, so no radius is left to choose")
         return upper
 
     def objective(self, name: str, params: ParameterMatrix) -> float:
@@ -346,6 +350,42 @@ class LambdaProblem:
         if not math.isfinite(value):
             raise ValueError(f"objective {name!r} returned non-finite value")
         return value
+
+
+def radius_path(evaluator, config, truth_lag=None, labels=None, seed: int = 0):
+    """(LambdaProblem, states): the fits of one field under one SolverConfig.
+
+    solve(evaluator, config at radius lam) fits each radius, and states
+    maps each solved radius to its SolverState. The objectives are
+    reconstruction-error, the relative error of a fit's lag_rows against
+    truth_lag, when truth_lag is given, and train-metric, minus the ARI of
+    k-means (one cluster per label, seeded by seed, 4 restarts) on the fit's
+    embedding, when labels are given.
+
+    Every radius shares one field. A stochastic field's draws depend only on
+    the seed and the solver step, so every radius's solve sees the same
+    window draw at each step, and every loss reads the same fixed set,
+    whatever order the radii are solved in.
+    """
+    states: dict = {}
+
+    def solve_fn(lam: float) -> ParameterMatrix:
+        params, states[lam] = solve(evaluator, dataclasses.replace(config, lambda_=lam))
+        return params
+
+    objectives: dict = {}
+    if truth_lag is not None:
+        objectives["reconstruction-error"] = lambda p: reconstruction_error(truth_lag, p.lag_rows)
+    if labels is not None:
+        labels = np.asarray(labels)
+        k = len(set(labels.tolist()))
+
+        def train_metric(params: ParameterMatrix) -> float:
+            part = kmeans(factorize(params).coordinates, k, np.random.default_rng(seed), restarts=4)
+            return 0.0 - ari(labels, part.assignments)  # +0, not -0, for a zero ARI
+
+        objectives["train-metric"] = train_metric
+    return LambdaProblem(solve_fn=solve_fn, objectives=objectives), states
 
 
 @dataclass(frozen=True)

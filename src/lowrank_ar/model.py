@@ -134,6 +134,12 @@ class ParameterMatrix:
     def n_sequences(self) -> int:
         return self.data.shape[1]
 
+    @property
+    def lag_rows(self) -> np.ndarray:
+        """data without each R_i's bias column: the C^2*d lag weights per sequence."""
+        n = self.n_sequences
+        return self.data.reshape(self.channel_count, -1, n)[:, 1:, :].reshape(-1, n)
+
     @classmethod
     def zeros(cls, channel_count: int, order: int, n_sequences: int) -> "ParameterMatrix":
         m = channel_count * channel_count * order + channel_count

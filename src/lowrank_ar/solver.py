@@ -49,7 +49,6 @@ one place that decides it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -339,20 +338,3 @@ def constrained_least_squares(
             u *= 2.0
     params = ParameterMatrix(_finite_or_raise(z.T, "splitting iterate"), c, order)
     return params, SolverState(t=iteration, history=history, termination=termination)
-
-
-def write_history_csv(history: list[HistoryRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "loss", "field_norm", "kappa", "gamma", "backtracks"])
-        for rec in history:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    f"{rec.loss:.17g}",
-                    f"{rec.field_norm:.17g}",
-                    f"{rec.kappa:.17g}",
-                    f"{rec.gamma:.17g}",
-                    rec.backtracks,
-                ]
-            )

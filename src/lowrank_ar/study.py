@@ -2,12 +2,12 @@
 
 Sequences are z-normalized before fitting (the lag structure is scale
 invariant and the intercept absorbs the centering). Each benchmark gets one
-radius path (an evalkit.LambdaProblem) of exact constrained fits, scored by
-reconstruction error against the generating coefficients; its fit at radius
-inf is the unconstrained least-squares baseline. recovery_run Brent-searches
-the path, embeds the best fit and clusters it with k-means, and desk_study
-runs it on random 3-class benchmarks. radius_sweep scores the path on a
-geometric grid of radii instead and embeds the best one.
+radius path (evalkit.radius_path under admm-ls) of exact constrained fits,
+scored by reconstruction error against the generating coefficients; its fit
+at radius inf is the unconstrained least-squares baseline. recovery_run
+Brent-searches the path, embeds the best fit and clusters it with k-means,
+and desk_study runs it on random 3-class benchmarks. radius_sweep scores the
+path on a geometric grid of radii instead and embeds the best one.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from lowrank_ar.embedding import approx_rank_of, factorize, pca_project
-from lowrank_ar.evalkit import LambdaProblem, ari, kmeans, lambda_search, reconstruction_error
-from lowrank_ar.measurement import enumerate_slices
-from lowrank_ar.model import ParameterMatrix, SequenceCollection
-from lowrank_ar.solver import constrained_least_squares
+from lowrank_ar.evalkit import LambdaProblem, ari, kmeans, lambda_search, radius_path
+from lowrank_ar.field import EmpiricalField, FieldSpec
+from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
+from lowrank_ar.solver import SolverConfig
 from lowrank_ar.synthetic import gen_benchmark, standard_class_specs
 
 
@@ -49,15 +49,9 @@ class RecoveryRun:
 
 def _radius_path(collection: SequenceCollection, truth: ParameterMatrix) -> LambdaProblem:
     """Exact constrained fits of the z-normalized collection, scored on the truth's lags."""
-    d = truth.order
-    slices = enumerate_slices(znorm(collection), d)
-    truth_lag = truth.data[1:]
-    return LambdaProblem(
-        solve_fn=lambda lam: constrained_least_squares(slices, 1, d, lam)[0],
-        objectives={
-            "reconstruction-error": lambda p: reconstruction_error(truth_lag, p.data[1:])
-        },
-    )
+    spec = FieldSpec(LinkFunction("identity"), truth.order)
+    evaluator = EmpiricalField(znorm(collection), spec)
+    return radius_path(evaluator, SolverConfig(mode="admm-ls"), truth_lag=truth.lag_rows)[0]
 
 
 def recovery_run(collection: SequenceCollection, truth: ParameterMatrix) -> RecoveryRun:

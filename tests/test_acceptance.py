@@ -364,5 +364,23 @@ def test_criterion_11_rerun_determinism(report, tmp_path):
         assert cli.main(["embed", "--config", str(replay_cfg), "--out", str(out_b)]) == 0
         for output in ("embeddings.csv", "history.csv"):
             same &= (out_a / output).read_bytes() == (out_b / output).read_bytes()
+
+    # a sweep rerun into the same directory with new settings keeps no old row
+    sweep_a, sweep_b = tmp_path / "sweep_a", tmp_path / "sweep_b"
+    for iters in (4, 32):
+        sweep_cfg = tmp_path / f"sweep_{iters}.json"
+        write_json(
+            {
+                "input": {"path": str(data / "dataset.csv")},
+                "d": 3, "n_points": 3, "lower": 0.5, "upper": 5.0, "iters": iters,
+            },
+            sweep_cfg,
+        )
+        assert cli.main(["sweep", "--config", str(sweep_cfg), "--out", str(sweep_a)]) == 0
+    replay_cfg = tmp_path / "sweep_replay.json"
+    write_json(read_json(sweep_a / "manifest.json"), replay_cfg)
+    assert cli.main(["sweep", "--config", str(replay_cfg), "--out", str(sweep_b)]) == 0
+    same &= (sweep_a / "sweep.csv").read_bytes() == (sweep_b / "sweep.csv").read_bytes()
     report("11", same, "manifest replays reproduced embeddings.csv and history.csv byte for "
-           "byte, full-horizon and stochastic-subwindow")
+           "byte, full-horizon and stochastic-subwindow, and sweep.csv after a rerun "
+           "with new settings")

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from lowrank_ar import cli
+from lowrank_ar import cli, evalkit
 from lowrank_ar.dataio import (
     read_json,
     read_labels_csv,
@@ -371,18 +371,37 @@ def test_eval_classification_requires_split(tmp_path, embedded):
     assert run(["eval", "--config", cfg, "--out", tmp_path / "out"]) == 2
 
 
+def test_eval_unreadable_inputs_exit_2_naming_the_file(tmp_path, embedded, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("id,dim_1\na,0.5\nb,half\n")
+    cfg = tmp_path / "cfg.json"
+    write_json({"embeddings_path": str(bad), "k": 2}, cfg)
+    assert run(["eval", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "bad.csv" in capsys.readouterr().err
+    write_json(
+        {
+            "embeddings_path": str(embedded / "embeddings.csv"),
+            "mode": "classification",
+            "split_path": str(tmp_path / "no_split.csv"),
+        },
+        cfg,
+    )
+    assert run(["eval", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "no_split.csv" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- sweep
 
 
-def test_sweep_and_resume(tmp_path, synth_dir, monkeypatch):
+def test_sweep_solves_each_radius_once(tmp_path, synth_dir, monkeypatch):
     # one full-horizon design for solves and losses; the explicit upper
     # leaves the unconstrained fit unsolved
     designs, radii = [], []
     field_module = sys.modules["lowrank_ar.field"]
-    enumerate_slices, solve = field_module.enumerate_slices, cli.solve
+    enumerate_slices, solve = field_module.enumerate_slices, evalkit.solve
     monkeypatch.setattr(field_module, "enumerate_slices",
                         lambda *a: designs.append(a) or enumerate_slices(*a))
-    monkeypatch.setattr(cli, "solve", lambda ev, c: radii.append(c.lambda_) or solve(ev, c))
+    monkeypatch.setattr(evalkit, "solve", lambda ev, c: radii.append(c.lambda_) or solve(ev, c))
     cfg = tmp_path / "cfg.json"
     write_json(
         embed_config(
@@ -399,19 +418,15 @@ def test_sweep_and_resume(tmp_path, synth_dir, monkeypatch):
     assert run(["sweep", "--config", cfg, "--out", out]) == 0
     assert len(designs) == 1
     assert len(radii) == len(set(radii)) == 3 and math.inf not in radii
-    first = (out / "sweep.csv").read_bytes()
-    lines = first.decode().splitlines()
-    assert lines[0] == "lambda,loss,reconstruction_error,approx_rank,ari"
-    assert len(lines) == 4
-    for line in lines[1:]:
-        fields = line.split(",")
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["lambda", "loss", "reconstruction_error", "approx_rank", "ari"]
+    assert len(rows) == 3
+    for fields in rows:
         assert float(fields[1]) >= 0.0  # loss
         assert float(fields[2]) >= 0.0  # reconstruction error
         assert int(fields[3]) >= 1
         assert -1.0 <= float(fields[4]) <= 1.0  # ari
-    # rerunning resumes from the existing rows and reproduces the file
-    assert run(["sweep", "--config", cfg, "--out", out]) == 0
-    assert (out / "sweep.csv").read_bytes() == first
 
 
 @pytest.mark.parametrize("command", ["embed", "sweep"])
@@ -574,6 +589,9 @@ def test_train_metric_grid_search(tmp_path, synth_dir):
     rows = search_rows(out)
     assert len(rows) == 4
     assert all(-1.0 <= float(row[1]) <= 1.0 for row in rows)
+    # a zero ARI scores 0, not the signed zero -0
+    scores = [row[1] for row in rows]
+    assert "0" in scores and "-0" not in scores
     assert read_json(out / "metrics.json")["lambda"] in [float(row[0]) for row in rows]
 
 
@@ -681,9 +699,19 @@ def _bad_input(tmp_path, case):
         labels = tmp_path / "labels.csv"
         labels.write_text("id,label\na,0\n")
         return {"path": str(series), "labels_path": str(labels)}, labels.name
+    if case == "label-not-an-integer":
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\na,0\nb,one\n")
+        return {"path": str(series), "labels_path": str(labels)}, f"{labels.name}: line 3"
     if case == "t-out-of-order":
         series.write_text("id,t,c1\na,2,0.2\na,1,0.1\na,3,0.3\n")
         return {"path": str(series)}, series.name
+    if case == "value-not-a-number":
+        series.write_text("id,t,c1\na,1,0.1\na,2,0.2\na,3,zero\n")
+        return {"path": str(series)}, f"{series.name}: line 4"
+    if case == "row-too-short":
+        series.write_text("id,t,c1\na,1,0.1\na,2\na,3,0.3\n")
+        return {"path": str(series)}, f"{series.name}: line 3"
     train = tmp_path / "TRAIN.tsv"
     if case == "ucr-nan-inside-row":
         train.write_text("1\t0.5\t0.25\t-1.0\t0.3\n2\t0.5\tNaN\t-1.0\t0.2\n")
@@ -693,7 +721,11 @@ def _bad_input(tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "case", ["label-missing", "t-out-of-order", "ucr-all-nan-row", "ucr-nan-inside-row"]
+    "case",
+    [
+        "label-missing", "label-not-an-integer", "t-out-of-order", "value-not-a-number",
+        "row-too-short", "ucr-all-nan-row", "ucr-nan-inside-row",
+    ],
 )
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     source, name = _bad_input(tmp_path, case)
@@ -701,3 +733,44 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     write_json({"input": source, "d": 1, "iters": 4}, cfg)
     assert run(["embed", "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert name in capsys.readouterr().err
+
+
+def test_blank_lines_in_input_csvs_are_skipped(tmp_path, synth_dir):
+    for name in ("dataset.csv", "labels.csv"):
+        lines = (synth_dir / name).read_text().splitlines()
+        (tmp_path / name).write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n\n")
+    rc, plain = run_embed(tmp_path, synth_dir, name="plain", iters=4)
+    assert rc == 0
+    rc, blank = run_embed(tmp_path, tmp_path, name="blank", iters=4)
+    assert rc == 0
+    assert (blank / "embeddings.csv").read_bytes() == (plain / "embeddings.csv").read_bytes()
+
+
+# ---------------------------------------------------------------- output format
+
+
+def test_every_csv_has_a_header_crlf_line_ends_and_equal_width_rows(tmp_path, synth_dir):
+    truth = str(synth_dir / "truth.csv")
+    rc, embed_out = run_embed(
+        tmp_path, synth_dir, name="embed", mode="admm-ls", truth_path=truth, search="brent",
+    )
+    assert rc == 0
+    cfg = tmp_path / "sweep.json"
+    write_json(embed_config(synth_dir, truth_path=truth, n_points=3), cfg)
+    assert run(["sweep", "--config", cfg, "--out", tmp_path / "sweep"]) == 0
+    cfg = tmp_path / "eval.json"
+    write_json({"embeddings_path": str(embed_out / "embeddings.csv")}, cfg)
+    assert run(["eval", "--config", cfg, "--out", tmp_path / "eval"]) == 0
+
+    paths = sorted(synth_dir.glob("*.csv")) + sorted(tmp_path.glob("*/*.csv"))
+    assert {path.name for path in paths} == {
+        "dataset.csv", "labels.csv", "truth.csv", "embeddings.csv", "history.csv",
+        "search.csv", "sweep.csv", "assignments.csv",
+    }
+    for path in paths:
+        raw = path.read_bytes()
+        assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), path
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert all(header) and not any(cell[:1].isdigit() for cell in header), path
+        assert rows and {len(row) for row in rows} == {len(header)}, path

@@ -5,6 +5,7 @@ import pytest
 
 from lowrank_ar.dataio import (
     read_collection_csv,
+    read_csv,
     read_fasta,
     read_json,
     read_labels_csv,
@@ -13,6 +14,7 @@ from lowrank_ar.dataio import (
     read_text_documents,
     read_ucr_file,
     write_collection_csv,
+    write_csv,
     write_json,
     write_labels_csv,
     write_matrix_csv,
@@ -72,6 +74,47 @@ def test_collection_kind_passthrough(rng, tmp_path):
     write_collection_csv(coll, path)
     back = read_collection_csv(path, kind="probability-simplex")
     assert back.kind == "probability-simplex"
+
+
+def test_collection_and_labels_round_trip_through_blank_lines(rng, tmp_path):
+    coll = make_collection(rng, n=3, c=2, t_len=4, labels=(1, 0, 1))
+    cpath, lpath = tmp_path / "coll.csv", tmp_path / "labels.csv"
+    write_collection_csv(coll, cpath)
+    write_labels_csv(coll.ids, coll.labels, lpath)
+    for path in (cpath, lpath):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n\n")
+    back = read_collection_csv(cpath, labels_path=lpath)
+    assert back.ids == coll.ids and back.labels == coll.labels
+    for a, b in zip(back.sequences, coll.sequences):
+        assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------- csv
+
+
+def test_write_csv_formats_floats_and_stringifies_the_rest(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c", "d", "e"], [[0.1, np.float64(-0.0), 3, np.int64(4), ""]])
+    assert path.read_bytes() == b"a,b,c,d,e\r\n0.10000000000000001,-0,3,4,\r\n"
+    header, rows = read_csv(path)
+    assert header == ["a", "b", "c", "d", "e"]
+    assert rows == [["0.10000000000000001", "-0", "3", "4", ""]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\n1,2\n3\n", "line 3: 1 fields where the header has 2"),
+        ("a,b\n1,2\n\n3,x\n", "line 4: could not convert"),
+        ("", "no header row"),
+    ],
+)
+def test_read_csv_names_the_file_and_line(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.csv: {message}"):
+        read_csv(path, lambda row: [float(v) for v in row])
 
 
 # ---------------------------------------------------------------- matrices

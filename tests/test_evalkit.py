@@ -20,11 +20,14 @@ from lowrank_ar.evalkit import (
     knn_classify,
     lambda_search,
     nmi,
+    radius_path,
     reconstruction_error,
     select_k,
 )
 from lowrank_ar.model import ParameterMatrix
+from lowrank_ar.solver import SolverConfig, SolverError, constrained_least_squares
 
+from conftest import make_evaluator
 from test_nuclear import project_matrix_oracle
 
 
@@ -369,8 +372,29 @@ def test_search_validation():
         solve_fn=lambda lam: ParameterMatrix.zeros(1, 1, 2),
         objectives={"reconstruction-error": lambda p: 0.0},
     )
-    with pytest.raises(ValueError, match="zero"):
+    # a zero unconstrained fit leaves no radius: a numerical failure, not bad input
+    with pytest.raises(SolverError, match="zero"):
         lambda_search(zero_problem, strategy="brent")
+
+
+def test_radius_path_solves_under_its_config_and_keeps_each_state(rng):
+    ev = make_evaluator(rng, n=6, d=2)
+    truth_lag = rng.standard_normal((2, 6))
+    problem, states = radius_path(
+        ev, SolverConfig(mode="admm-ls"), truth_lag=truth_lag, labels=[0, 0, 0, 1, 1, 1]
+    )
+    assert set(problem.objectives) == {"reconstruction-error", "train-metric"}
+    lam = 0.5 * problem.upper
+    fit = problem.solve(lam)
+    direct, direct_state = constrained_least_squares(ev.slices, 1, 2, lam)
+    assert np.array_equal(fit.data, direct.data)
+    assert sorted(states) == [lam, math.inf]
+    assert states[lam].t == direct_state.t and states[math.inf].termination == "slack"
+    assert problem.objective("reconstruction-error", fit) == reconstruction_error(
+        truth_lag, fit.data[1:]
+    )
+    assert -1.0 <= problem.objective("train-metric", fit) <= 1.0
+    assert radius_path(ev, SolverConfig(mode="admm-ls"))[0].objectives == {}
 
 
 def test_objective_lookup_and_finiteness():

@@ -91,6 +91,16 @@ def test_parameter_matrix_rejects_nonfinite():
         ParameterMatrix(data, channel_count=1, order=2)
 
 
+def test_lag_rows_drop_each_bias_column(rng):
+    c, d, n = 2, 3, 4
+    data = rng.standard_normal((c * c * d + c, n))
+    params = ParameterMatrix(data, channel_count=c, order=d)
+    expected = np.stack([data[:, i].reshape(c, c * d + 1)[:, 1:].ravel() for i in range(n)], axis=1)
+    assert np.array_equal(params.lag_rows, expected)
+    univariate = ParameterMatrix(data[: d + 1], channel_count=1, order=d)
+    assert np.array_equal(univariate.lag_rows, data[1 : d + 1])
+
+
 def test_zeros_factory():
     params = ParameterMatrix.zeros(channel_count=3, order=4, n_sequences=5)
     assert params.data.shape == (3 * 3 * 4 + 3, 5)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lowrank_ar.field as field_module
+from lowrank_ar.dataio import write_history_csv
 from lowrank_ar.field import EmpiricalField, FieldSpec, ls_loss
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
 from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm
@@ -22,7 +23,6 @@ from lowrank_ar.solver import (
     mirror_descent,
     mirror_prox_backtracking,
     solve,
-    write_history_csv,
 )
 
 from test_nuclear import project_matrix_oracle
