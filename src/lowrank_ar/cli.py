@@ -7,7 +7,8 @@ manifest reproduces the outputs byte for byte.
 
 This module only parses settings and wires the layers: embed and sweep fit
 through one radius path per collection (evalkit.radius_path), which solves
-each radius once, and every file is written by dataio.
+each radius once, picks a sweep's radii and scores its fits, and every file
+is written by dataio. A config key or flag that a command does not read exits 2.
 
 Exit codes: 0 success, 2 configuration or input error, 3 numerical failure
 (a zero unconstrained fit among them: it leaves no radius to choose).
@@ -27,7 +28,6 @@ from lowrank_ar import dataio, encoders
 from lowrank_ar.embedding import approx_rank_of, factorize, read_embedding_csv, write_embedding_csv
 from lowrank_ar.evalkit import (
     SEARCH_STRATEGIES,
-    LambdaProblem,
     accuracy_and_macro_f1,
     ari,
     kmeans,
@@ -40,10 +40,10 @@ from lowrank_ar.field import EmpiricalField, FieldSpec
 from lowrank_ar.model import LinkFunction, SequenceCollection
 from lowrank_ar.solver import SolverConfig, SolverError, check_method
 from lowrank_ar.synthetic import (
+    STANDARD_PROCEDURES,
     GenClassSpec,
     UnstableCoefficientsError,
     gen_benchmark,
-    standard_class_specs,
 )
 
 _METRIC_KEYS = ("ari", "nmi", "accuracy", "macro_f1", "approx_rank", "lambda", "runtime_seconds")
@@ -109,14 +109,12 @@ _EVAL_DEFAULTS: dict = {
 }
 
 _SWEEP_DEFAULTS: dict = {
-    **_EMBED_DEFAULTS,
+    **{key: value for key, value in _EMBED_DEFAULTS.items() if key not in ("lambda", "search")},
     "out": "sweep_out",
     "n_points": 40,
     "lower": None,
     "upper": None,
-    "k": None,
 }
-_SWEEP_DEFAULTS.pop("search")
 
 _SEARCH_DEFAULTS: dict = {
     "strategy": "brent",
@@ -197,30 +195,17 @@ def _metrics_skeleton(**known) -> dict:
 
 
 def _synth_specs(config: dict) -> list[GenClassSpec]:
-    common = dict(
-        d=config["d"],
-        n_per_class=config["n_per_class"],
-        t_len=config["t_len"],
-        noise_var=config["noise_var"],
-    )
     try:
         if config["classes"] is not None:
-            return [
-                GenClassSpec(
-                    baseline=entry["baseline"],
-                    perturbation=entry["perturbation"],
-                    gamma_decay=config["gamma_decay"],
-                    perturbation_var=config["perturbation_var"],
-                    **common,
-                )
-                for entry in config["classes"]
-            ]
-        n = int(config["n_classes"])
-        if n < 1:
-            raise ValueError("n_classes must be positive")
-        repeats = -(-n // 5)  # ceil: the pool repeats five procedures
-        pool = standard_class_specs(repeats=repeats, **common)
-        return pool[:n]
+            procedures = [(entry["baseline"], entry["perturbation"]) for entry in config["classes"]]
+        else:
+            n = int(config["n_classes"])
+            if n < 1:
+                raise ValueError("n_classes must be positive")
+            procedures = [STANDARD_PROCEDURES[i % len(STANDARD_PROCEDURES)] for i in range(n)]
+        sizes = {key: config[key] for key in
+                 ("d", "n_per_class", "t_len", "noise_var", "gamma_decay", "perturbation_var")}
+        return [GenClassSpec(baseline=b, perturbation=p, **sizes) for b, p in procedures]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid class specification: {exc}") from None
 
@@ -336,15 +321,6 @@ def _ingest_text(spec: dict, config: dict) -> SequenceCollection:
 # ---------------------------------------------------------------- embed
 
 
-def _resolve_link(config: dict, collection: SequenceCollection) -> str:
-    link = config["link"]
-    if link is None:
-        link = "softmax" if collection.kind == "probability-simplex" else "identity"
-    if link not in ("identity", "softmax", "exponential", "logistic"):
-        raise ConfigError(f"unknown link {link!r}")
-    return link
-
-
 def _read(reader, path):
     """reader(path); a missing or malformed file is a ConfigError that names it."""
     try:
@@ -373,14 +349,13 @@ def _search_settings(config: dict) -> dict | None:
         return None
     if isinstance(raw, str):
         raw = {"strategy": raw}
-    settings = _merge(_SEARCH_DEFAULTS, raw, "search")
-    if settings["strategy"] not in SEARCH_STRATEGIES:
-        raise ConfigError(f"search strategy must be one of {SEARCH_STRATEGIES}")
-    return settings
+    return _merge(_SEARCH_DEFAULTS, raw, "search")
 
 
 def _radius_path(collection: SequenceCollection, config: dict):
     """The collection's field, its radius path, and each solved radius's SolverState."""
+    if config["link"] is None:  # resolved in config, so the manifest records it
+        config["link"] = "softmax" if collection.kind == "probability-simplex" else "identity"
     truth_lag = _load_truth(config, collection)
     window, iters = config["window_g"], config["iters"]
     try:
@@ -424,7 +399,6 @@ def _write_search_csv(result, states: dict, path: Path) -> None:
 
 def cmd_embed(config: dict) -> int:
     collection, roles = _ingest(config)
-    config["link"] = _resolve_link(config, collection)
     out = _out_dir(config)
     _, problem, states = _radius_path(collection, config)
     search = _search_settings(config)
@@ -543,38 +517,23 @@ def cmd_eval(config: dict) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_lambdas(config: dict, problem: LambdaProblem) -> np.ndarray:
-    upper = config["upper"] if config["upper"] is not None else problem.upper
-    lower = config["lower"] if config["lower"] is not None else 1e-2 * upper
-    if not 0 < lower < upper:
-        raise ConfigError(f"need 0 < lower < upper, got [{lower}, {upper}]")
-    return np.geomspace(lower, upper, int(config["n_points"]))
-
-
 def cmd_sweep(config: dict) -> int:
     collection, _ = _ingest(config)
-    config["link"] = _resolve_link(config, collection)
     out = _out_dir(config)
     evaluator, problem, _ = _radius_path(collection, config)
-    labels = collection.labels
-    k = config["k"]
-    if k is None and labels is not None:
-        k = len(set(labels))
+    try:
+        lambdas = problem.grid(int(config["n_points"]), config["lower"], config["upper"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
     rows = []
-    for index, lam in enumerate(_sweep_lambdas(config, problem).tolist()):
+    for lam in lambdas:
         params = problem.solve(lam)
-        embedding = factorize(params)
-        row = [lam, evaluator.loss(params.data), "", embedding.approx_rank, ""]
+        row = [lam, evaluator.loss(params.data), "", factorize(params).approx_rank, ""]
         if "reconstruction-error" in problem.objectives:
             row[2] = problem.objective("reconstruction-error", params)
-        if labels is not None:
-            part = kmeans(
-                embedding.coordinates, int(k),
-                np.random.default_rng([config["seed"], index]),
-                restarts=4,
-            )
-            row[4] = ari(labels, part.assignments)
+        if "train-metric" in problem.objectives:
+            row[4] = 0.0 - problem.objective("train-metric", params)  # the ARI
         rows.append(row)
     sweep_path = out / "sweep.csv"
     header = ["lambda", "loss", "reconstruction_error", "approx_rank", "ari"]

@@ -145,8 +145,8 @@ def read_ucr_file(path) -> tuple[list, list]:
     """Archive-style rows: label, v1, ..., vT separated by tabs or commas.
 
     Returns (labels, series). Trailing NaN padding is trimmed per row; a row
-    with no finite value, or with a non-finite value before its last finite
-    one, raises ValueError naming the file and line.
+    with a cell that is not a number, no finite value, or a non-finite value
+    before its last finite one, raises ValueError naming the file and line.
     """
     labels: list = []
     series: list = []
@@ -157,16 +157,18 @@ def read_ucr_file(path) -> tuple[list, list]:
                 continue
             parts = line.replace("\t", ",").split(",")
             parts = [p for p in (s.strip() for s in parts) if p]
-            labels.append(int(float(parts[0])))
-            values = np.array([float(v) for v in parts[1:]])
-            finite = np.isfinite(values)
-            if not finite.any():
-                raise ValueError(f"{path}: line {line_no} has no finite values")
-            if not finite.all():
-                values = values[: int(np.nonzero(finite)[0][-1]) + 1]
-                if not np.isfinite(values).all():
-                    raise ValueError(f"{path}: line {line_no} has a non-finite value "
-                                     "inside the series")
+            try:
+                labels.append(int(float(parts[0])))
+                values = np.array([float(v) for v in parts[1:]])
+                finite = np.isfinite(values)
+                if not finite.any():
+                    raise ValueError("no finite values")
+                if not finite.all():
+                    values = values[: int(np.nonzero(finite)[0][-1]) + 1]
+                    if not np.isfinite(values).all():
+                        raise ValueError("a non-finite value inside the series")
+            except (ValueError, IndexError) as exc:  # IndexError: a row of bare separators
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
             series.append(values)
     if not labels:
         raise ValueError(f"no data rows in {path}")
@@ -177,27 +179,28 @@ def read_fasta(path) -> tuple[list, list, list]:
     """Header lines '>id [description]' introduce each sequence.
 
     Returns (ids, descriptions, sequences); description is '' when absent.
+    An empty header or data before the first one is a ValueError naming the line.
     """
     ids: list = []
     descriptions: list = []
     chunks: list = []
     current: list | None = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith(">"):
                 head = line[1:].split(None, 1)
                 if not head:
-                    raise ValueError("empty FASTA header")
+                    raise ValueError(f"{path}: line {line_no}: empty FASTA header")
                 ids.append(head[0])
                 descriptions.append(head[1] if len(head) > 1 else "")
                 current = []
                 chunks.append(current)
             else:
                 if current is None:
-                    raise ValueError("sequence data before any FASTA header")
+                    raise ValueError(f"{path}: line {line_no}: data before any FASTA header")
                 current.append(line)
     if not ids:
         raise ValueError(f"no sequences in {path}")

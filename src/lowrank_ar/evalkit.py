@@ -1,9 +1,9 @@
 """Clustering and classification evaluation, plus penalty-level search.
 
 The search walks a LambdaProblem, the radius path of one collection: it
-solves each radius once, keeps every fit and owns the bracket top, upper.
-radius_path builds the one every caller uses, from a field and a solver
-config, with the reconstruction-error and train-metric objectives.
+solves each radius once, keeps every fit, owns the bracket top, upper, and
+picks the radii of every grid. radius_path builds the one every caller uses,
+from a field and a solver config, with the objectives that score its fits.
 
 Points are always columns: an r x N matrix holds N points in R^r, matching
 the embedding module's coordinate layout. All metrics are hand-rolled so
@@ -343,6 +343,19 @@ class LambdaProblem:
             raise SolverError("the unconstrained fit is zero, so no radius is left to choose")
         return upper
 
+    def grid(self, n_points: int, lower: float | None = None, upper: float | None = None) -> list:
+        """n_points log-spaced radii from lower to upper, both ends included.
+
+        upper defaults to self.upper (an explicit one leaves the unconstrained
+        fit unsolved) and lower to 1e-2 * upper; ValueError unless
+        0 < lower < upper.
+        """
+        upper = self.upper if upper is None else upper
+        lower = _GRID_LOWER_FACTOR * upper if lower is None else lower
+        if not 0 < lower < upper:
+            raise ValueError(f"need 0 < lower < upper, got [{lower}, {upper}]")
+        return np.geomspace(lower, upper, n_points).tolist()
+
     def objective(self, name: str, params: ParameterMatrix) -> float:
         if name not in self.objectives:
             raise ValueError(f"problem has no objective {name!r}")
@@ -407,7 +420,7 @@ def lambda_search(
 
     bisect-to-rank1 returns the largest radius whose solution still has
     approximate rank 1 (relative bracket tolerance 1e-2). grid sweeps
-    n_points log-spaced radii and keeps the best-scoring solution among
+    problem.grid(n_points) and keeps the best-scoring solution among
     those with approximate rank below full. brent first scores the
     unconstrained fit (recorded at lambda = inf), then minimizes the
     objective over the bracket with scipy's bounded scalar minimizer at
@@ -416,7 +429,7 @@ def lambda_search(
     a point it has already evaluated).
     """
     if strategy not in SEARCH_STRATEGIES:
-        raise ValueError(f"strategy must be one of {SEARCH_STRATEGIES}")
+        raise ValueError(f"strategy must be one of {SEARCH_STRATEGIES}, got {strategy!r}")
     upper = problem.upper
     unconstrained = problem.solve(math.inf)
     tried: list = []
@@ -447,10 +460,9 @@ def lambda_search(
         return LambdaSearchResult(tried, scores, lo, lo_params)
 
     if strategy == "grid":
-        lambdas = np.geomspace(_GRID_LOWER_FACTOR * upper, upper, n_points)
         full = min(unconstrained.data.shape)
         best_lam, best_score, best_params = None, math.inf, None
-        for lam in lambdas.tolist():
+        for lam in problem.grid(n_points):
             params = problem.solve(lam)
             score = problem.objective(objective, params)
             tried.append(lam)

@@ -7,7 +7,7 @@ scored by reconstruction error against the generating coefficients; its fit
 at radius inf is the unconstrained least-squares baseline. recovery_run
 Brent-searches the path, embeds the best fit and clusters it with k-means,
 and desk_study runs it on random 3-class benchmarks. radius_sweep scores the
-path on a geometric grid of radii instead and embeds the best one.
+path on LambdaProblem.grid's radii instead and embeds the best one.
 """
 
 from __future__ import annotations
@@ -109,14 +109,14 @@ class RadiusSweep:
 def radius_sweep(
     collection: SequenceCollection, truth: ParameterMatrix, lo: float, hi: float, points: int
 ) -> RadiusSweep:
-    """Exact constrained fits at geomspace(lo * upper, hi * upper, points).
+    """Exact constrained fits at problem.grid(points, lo * upper, hi * upper).
 
     upper is the nuclear norm of the unconstrained least-squares fit, the
     error is taken against the truth's lag rows and the AR order is the
     truth's.
     """
     problem = _radius_path(collection, truth)
-    lambdas = np.geomspace(lo * problem.upper, hi * problem.upper, points)
+    lambdas = np.array(problem.grid(points, lo * problem.upper, hi * problem.upper))
     fits = [problem.solve(lam) for lam in lambdas]
     errors = np.array([problem.objective("reconstruction-error", p) for p in fits])
     best = int(np.argmin(errors))

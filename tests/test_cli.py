@@ -10,6 +10,7 @@ import pytest
 
 from lowrank_ar import cli, evalkit
 from lowrank_ar.dataio import (
+    read_csv,
     read_json,
     read_labels_csv,
     read_matrix_csv,
@@ -19,6 +20,7 @@ from lowrank_ar.dataio import (
 )
 from lowrank_ar.embedding import read_embedding_csv
 from lowrank_ar.model import SequenceCollection
+from lowrank_ar.synthetic import STANDARD_PROCEDURES
 
 
 def run(argv):
@@ -105,6 +107,17 @@ def test_synth_explicit_classes(tmp_path):
     out = tmp_path / "out"
     assert run(["synth", "--config", cfg, "--out", out]) == 0
     assert sorted(set(read_labels_csv(out / "labels.csv").values())) == [0, 1]
+
+
+def test_synth_variances_apply_to_the_standard_classes(tmp_path):
+    # n_classes draws the standard procedures under the same variances as classes
+    sizes = {"d": 3, "t_len": 30, "n_per_class": 3, "perturbation_var": 0.05, "gamma_decay": 0.7}
+    classes = [{"baseline": b, "perturbation": p} for b, p in STANDARD_PROCEDURES[:2]]
+    for name, extra in (("standard", {"n_classes": 2}), ("named", {"classes": classes})):
+        write_json({**sizes, **extra}, tmp_path / f"{name}.json")
+        assert run(["synth", "--config", tmp_path / f"{name}.json", "--out", tmp_path / name]) == 0
+    standard, named = (tmp_path / "standard" / "truth.csv"), (tmp_path / "named" / "truth.csv")
+    assert standard.read_bytes() == named.read_bytes()
 
 
 def test_synth_unstable_class_exits_3(tmp_path):
@@ -441,12 +454,41 @@ def test_zero_unconstrained_fit_exits_3(tmp_path, capsys, command):
     assert "unconstrained fit is zero" in capsys.readouterr().err
 
 
+def test_sweep_ari_is_the_train_metric_score(tmp_path, synth_dir):
+    cfg = tmp_path / "cfg.json"
+    write_json(embed_config(synth_dir, n_points=3, iters=16), cfg)
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", cfg, "--out", out]) == 0
+    config = read_json(out / "manifest.json")
+    collection, _ = cli._ingest(config)
+    _, problem, _ = cli._radius_path(collection, config)
+    _, rows = read_csv(out / "sweep.csv")
+    assert len(rows) == 3
+    for row in rows:
+        score = problem.objective("train-metric", problem.solve(float(row[0])))
+        assert float(row[4]) == 0.0 - score
+
+
+@pytest.mark.parametrize(
+    "argv, extra, named",
+    [(["--lambda", "3"], {}, "--lambda"), ([], {"lambda": 3}, "'lambda'"), ([], {"k": 2}, "'k'")],
+    ids=["flag-lambda", "config-lambda", "config-k"],
+)
+def test_sweep_rejects_the_settings_it_does_not_read(tmp_path, synth_dir, capsys, argv, extra,
+                                                     named):
+    cfg = tmp_path / "cfg.json"
+    write_json(embed_config(synth_dir, n_points=3, **extra), cfg)
+    assert run(["sweep", "--config", cfg, "--out", tmp_path / "out", *argv]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_sweep_rejects_bad_bracket(tmp_path, synth_dir):
     cfg = tmp_path / "cfg.json"
-    write_json(
-        embed_config(synth_dir, n_points=3, lower=5.0, upper=4.0), cfg
-    )
-    assert run(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    for lower in (5.0, "a"):
+        write_json(
+            embed_config(synth_dir, n_points=3, lower=lower, upper=4.0), cfg
+        )
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 2
 
 
 # ---------------------------------------------------------------- archive input
@@ -670,6 +712,15 @@ def test_unknown_search_key_exits_2(tmp_path, synth_dir):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "settings", [{"link": "bogus"}, {"search": "golden"}], ids=["link", "search"]
+)
+def test_unknown_link_or_search_strategy_exits_2(tmp_path, synth_dir, capsys, settings):
+    rc, _ = run_embed(tmp_path, synth_dir, **settings)
+    assert rc == 2
+    assert repr(next(iter(settings.values()))) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("settings", [{"input": 5}, {"search": ["brent"]}])
 def test_settings_that_are_not_objects_exit_2(tmp_path, synth_dir, capsys, settings):
     rc, _ = run_embed(tmp_path, synth_dir, **settings)
@@ -712,7 +763,22 @@ def _bad_input(tmp_path, case):
     if case == "row-too-short":
         series.write_text("id,t,c1\na,1,0.1\na,2\na,3,0.3\n")
         return {"path": str(series)}, f"{series.name}: line 3"
+    fasta = tmp_path / "genomes.fa"
+    if case == "fasta-data-before-header":
+        fasta.write_text("ACGT\n>s1\nACGT\n")
+        return {"format": "fasta", "path": str(fasta)}, f"{fasta.name}: line 1"
+    if case == "fasta-empty-header":
+        fasta.write_text(">s1\nACGT\n>\nACGT\n")
+        return {"format": "fasta", "path": str(fasta)}, f"{fasta.name}: line 3"
     train = tmp_path / "TRAIN.tsv"
+    bad_rows = {
+        "ucr-value-not-a-number": "2\t0.5\tabc\t-1.0\n",
+        "ucr-label-not-a-number": "x\t0.5\t0.1\t-1.0\n",
+        "ucr-only-separators": "\t,\t\n",
+    }
+    if case in bad_rows:
+        train.write_text("1\t0.5\t0.25\t-1.0\n" + bad_rows[case])
+        return {"format": "ucr", "train_path": str(train)}, f"{train.name}: line 2"
     if case == "ucr-nan-inside-row":
         train.write_text("1\t0.5\t0.25\t-1.0\t0.3\n2\t0.5\tNaN\t-1.0\t0.2\n")
     else:
@@ -724,7 +790,9 @@ def _bad_input(tmp_path, case):
     "case",
     [
         "label-missing", "label-not-an-integer", "t-out-of-order", "value-not-a-number",
-        "row-too-short", "ucr-all-nan-row", "ucr-nan-inside-row",
+        "row-too-short", "ucr-all-nan-row", "ucr-nan-inside-row", "ucr-value-not-a-number",
+        "ucr-label-not-a-number", "ucr-only-separators", "fasta-data-before-header",
+        "fasta-empty-header",
     ],
 )
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowrank_ar.embedding import (
-    EmbeddingResult,
     approx_rank,
     factorize,
     pca_project,

@@ -345,6 +345,19 @@ def test_grid_warns_when_nothing_drops_rank():
     assert result.best_lambda in result.lambdas_tried
 
 
+def test_grid_default_bracket_is_the_grid_search_and_bad_brackets_raise():
+    target = np.diag([3.0, 1.0])
+    problem, calls = projection_problem(target, lambda p: 0.0)
+    assert problem.grid(3, lower=1.0, upper=2.0) == np.geomspace(1.0, 2.0, 3).tolist()
+    assert calls == []  # an explicit upper leaves the unconstrained fit unsolved
+    result = lambda_search(problem, strategy="grid", n_points=7)
+    assert problem.grid(7) == result.lambdas_tried
+    assert problem.grid(7, lower=1e-2 * problem.upper, upper=problem.upper) == problem.grid(7)
+    for lower, upper in [(2.0, 2.0), (3.0, 2.0), (0.0, 2.0)]:
+        with pytest.raises(ValueError, match="0 < lower < upper"):
+            problem.grid(3, lower=lower, upper=upper)
+
+
 def test_bisect_stops_at_rank_one_boundary():
     target = np.diag([3.0, 1.0])
     problem, _ = projection_problem(target, lambda p: 0.0)
