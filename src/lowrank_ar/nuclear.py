@@ -1,11 +1,18 @@
 """The nuclear ball: capped-simplex projection, the ball projection and the prox step.
 
 The Euclidean projection of M onto the nuclear ball {M : ||M||_* <= lambda}
-reduces to a singular-value problem: take the SVD M = U diag(sigma) V^T,
-project sigma onto the capped simplex {t >= 0, sum t <= lambda} under the
-quadratic objective sum(t^2/2 - sigma*t), and reassemble U diag(t) V^T.
-project_nuc is that projection, and every solver step takes it: the prox
-step at Z applied to X, the mirror step of the quadratic distance-generating
+reduces to a singular-value problem: with M = U diag(sigma) V^T, project
+sigma onto the capped simplex {t >= 0, sum t <= lambda} under the quadratic
+objective sum(t^2/2 - sigma*t), and reassemble U diag(t) V^T. project_nuc
+reads sigma and one set of singular vectors from an eigendecomposition of
+the smaller Gram matrix (M M^T when M is wide, M^T M when it is tall) and
+rebuilds the result from the kept directions alone. Only the singular
+triplets above the threshold enter the answer (Cai, Candes & Shen 2010, "A
+singular value thresholding algorithm"), so the Gram route is as accurate
+as the SVD whenever the threshold stands well clear of the rounding floor
+of the Gram's small eigenvalues; where it does not, project_nuc takes the
+thin SVD instead. Every solver step takes this projection: the prox step at
+Z applied to X, the mirror step of the quadratic distance-generating
 function, is the projection of Z - X, and the splitting solver projects its
 copy Z.
 """
@@ -15,6 +22,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# An eigenvalue of the Gram carries an absolute error near eps * sigma_1^2,
+# so a singular value sigma read from it is off by about eps * sigma_1^2 /
+# sigma: below this fraction of sigma_1 it may no longer decide the answer.
+_GRAM_MARGIN = 1e-4
 
 
 def nuclear_norm(M) -> float:
@@ -26,8 +38,13 @@ def capped_simplex_project(sigma, radius: float) -> np.ndarray:
     """argmin sum_j (t_j^2/2 - sigma_j t_j) over t >= 0, sum t <= radius.
 
     Closed form t_j = max(sigma_j - theta, 0): theta = 0 when the cap is
-    slack, otherwise the unique root of sum max(sigma - theta, 0) = radius,
-    found exactly by sorting and scanning the breakpoints (O(r log r)).
+    slack, otherwise the unique root of sum max(sigma - theta, 0) = radius.
+    With s sorted in decreasing order, the kept count K is the largest J
+    whose excess sum_{i<=J} (s_i - s_J) is below the radius, and the kept
+    entries are t_i = (s_i - s_K) + (radius - excess_K) / K. Both are built
+    from differences of sorted entries, never of their running sums, so no
+    ratio of sigma to the radius loses the radius to rounding, and one kept
+    entry receives exactly the radius (O(r log r)).
     """
     s = np.asarray(sigma, dtype=float).ravel()
     if np.any(s < 0) or not np.all(np.isfinite(s)):
@@ -37,28 +54,58 @@ def capped_simplex_project(sigma, radius: float) -> np.ndarray:
     if s.sum() <= radius:
         return s.copy()
     srt = np.sort(s)[::-1]
-    csum = np.cumsum(srt)
-    j = np.arange(1, s.size + 1)
-    theta_candidates = (csum - radius) / j
-    valid = srt > theta_candidates
-    # the first breakpoint is valid in exact arithmetic (radius > 0), but when
-    # sigma_max dwarfs the radius, sigma_max - radius rounds back to sigma_max
-    valid[0] = True
-    j_star = int(np.nonzero(valid)[0][-1])
-    theta = theta_candidates[j_star]
-    return np.maximum(s - theta, 0.0)
+    # excess_J = excess_{J-1} + (J - 1) (s_{J-1} - s_J): a nondecreasing sum
+    excess = np.zeros_like(srt)
+    np.cumsum(np.arange(1, s.size) * (srt[:-1] - srt[1:]), out=excess[1:])
+    kept = int(np.searchsorted(excess, radius))
+    floor = srt[kept - 1]
+    share = (radius - excess[kept - 1]) / kept
+    return np.where(s >= floor, (s - floor) + share, 0.0)
+
+
+def _project_by_svd(M: np.ndarray, radius: float) -> np.ndarray:
+    u, sigma, vt = np.linalg.svd(M, full_matrices=False)
+    if sigma.sum() <= radius:
+        return M.copy()
+    return (u * capped_simplex_project(sigma, radius)) @ vt
 
 
 def project_nuc(M: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of M onto the nuclear ball of the given radius.
 
-    The output always satisfies nuclear norm <= radius + 1e-9. radius =
+    One eigh of the smaller Gram matrix gives sigma = sqrt(max(eigenvalue,
+    0)) and the singular vectors on that side. A slack ball returns a copy
+    of M; otherwise the result is V_k diag(t/sigma) V_k^T M for wide M and
+    M V_k diag(t/sigma) V_k^T for tall M, over the kept directions k of the
+    capped-simplex projection t. The thin SVD takes over when the Gram is
+    not finite, or when a sigma below _GRAM_MARGIN * sigma_1, where the
+    Gram's rounding can move it, lies within that margin of the threshold
+    (0 on a slack ball): that covers every kept sigma so small and a slack
+    test that close whenever the spectrum reaches that low. radius =
     math.inf, the sentinel for an unconstrained run, returns M unchanged.
     """
     if math.isinf(radius):
         return M
-    u, sigma, vt = np.linalg.svd(M, full_matrices=False)
-    return (u * capped_simplex_project(sigma, radius)) @ vt
+    wide = M.shape[0] <= M.shape[1]
+    gram = M @ M.T if wide else M.T @ M
+    if not np.all(np.isfinite(gram)):
+        return _project_by_svd(M, radius)
+    evals, evecs = np.linalg.eigh(gram)
+    sigma = np.sqrt(np.maximum(evals, 0.0))  # ascending
+    margin = _GRAM_MARGIN * sigma[-1]
+    total = sigma.sum()
+    if total <= radius - margin:
+        return M.copy()
+    t = capped_simplex_project(sigma, radius)
+    theta = sigma[-1] - t[-1]
+    if sigma[0] < margin and np.any((sigma < margin) & (sigma > theta - margin)):
+        return _project_by_svd(M, radius)
+    if total <= radius:
+        return M.copy()
+    first = int(np.searchsorted(t, 0.0, side="right"))  # t ascends with sigma
+    v = evecs[:, first:]
+    scaled = v * (t[first:] / sigma[first:])
+    return scaled @ (v.T @ M) if wide else (M @ scaled) @ v.T
 
 
 def prox_nuc(Z, X, radius: float) -> np.ndarray:

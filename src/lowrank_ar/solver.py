@@ -21,10 +21,11 @@ magnitudes. It factors the per-sequence normal equations and fits OLS once
 per slice set (SliceSet.gram_eigen and SliceSet.ols), so every solve
 of a radius search or sweep after the first reuses them, and it iterates in
 the (N, m) layout, one row per sequence, with batched matrix products and
-one ball projection (nuclear.project_nuc, one thin SVD) per iteration; its
-history loss is field.gram_loss, read from the cached Gram matrices, so an
-iteration's cost does not grow with the number of slices S. check_method
-holds its preconditions: the identity link and the full-horizon set.
+one ball projection (nuclear.project_nuc, one eigh of the iterate's smaller
+Gram matrix) per iteration; its history loss is field.gram_loss, read from
+the cached Gram matrices, so an iteration's cost does not grow with the
+number of slices S. check_method holds its preconditions: the identity
+link and the full-horizon set.
 
 kappa is never reset downward between iterations. Start kappa0
 low (the default is 1e-6): backtracking only raises it, and the first
@@ -267,12 +268,13 @@ def constrained_least_squares(
     sweep on one set pays for them once, and the penalty weight rho can be
     rebalanced for free. The iteration runs in the (N, m) layout, one row
     per sequence: the ridge step is two batched products against V_i, the
-    projection is project_nuc of the (N, m) matrix, and the history's loss
-    of Z is gram_loss, read from the cached Grams, so no step of an
-    iteration grows with the number of slices S. Z is transposed back to
-    (m, N) at the end. Deterministic; no randomness anywhere. Returns
-    (ParameterMatrix, SolverState); the history logs the loss of Z, the
-    primal residual in the field_norm column, and rho in the kappa column.
+    projection is project_nuc of the (N, m) matrix, which factors only its
+    smaller Gram, and the history's loss of Z is gram_loss, read from the
+    cached Grams, so no step of an iteration grows with the number of
+    slices S. Z is transposed back to (m, N) at the end. Deterministic; no
+    randomness anywhere. Returns (ParameterMatrix, SolverState); the
+    history logs the loss of Z, the primal residual in the field_norm
+    column, and rho in the kappa column.
     The state's termination is "slack", "converged" or "iteration-cap".
 
     The iteration converges to the constrained optimum regardless of how

@@ -68,10 +68,11 @@ def test_capped_simplex_kkt_certificate(rng):
 
 @pytest.mark.parametrize("sigma", [[1e17, 1.0], [1e17, 1e17]])
 def test_capped_simplex_feasible_when_sigma_dwarfs_radius(sigma):
-    # sigma_max - radius rounds to sigma_max, so only breakpoint 0 is valid
+    # sigma_max - radius rounds to sigma_max, so a threshold taken as a
+    # difference of sums would lose the whole radius
     t = capped_simplex_project(np.array(sigma), 5.0)
-    assert np.all(t >= 0)
-    assert t.sum() <= 5.0
+    expected = [5.0, 0.0] if sigma[1] < sigma[0] else [2.5, 2.5]
+    assert t.tolist() == expected
 
 
 def test_capped_simplex_input_validation():
@@ -124,6 +125,98 @@ def test_project_nuc_matches_root_oracle(rng, shape):
         ours = project_nuc(M, radius)
         assert np.max(np.abs(ours - project_matrix_oracle(M, radius))) <= 1e-10
         assert nuclear_norm(ours) <= radius + 1e-9
+
+
+@pytest.mark.parametrize("fraction", [0.4, 1e-17])
+def test_project_nuc_is_scale_equivariant(rng, fraction):
+    # at 1e-17 the top singular value dwarfs the radius, which keeps it all
+    M = rng.standard_normal((6, 9))
+    radius = fraction * nuclear_norm(M)
+    base = project_nuc(M, radius)
+    assert nuclear_norm(base) == pytest.approx(radius, rel=1e-12, abs=0.0)
+    for c in 10.0 ** np.arange(-12, 13):
+        scaled = project_nuc(c * M, c * radius)
+        assert np.linalg.norm(scaled - c * base) <= 1e-12 * c * np.linalg.norm(base)
+
+
+def svd_oracle(M, radius):
+    u, delta, vt = np.linalg.svd(M, full_matrices=False)
+    return (u * capped_simplex_project(delta, radius)) @ vt
+
+
+def spectrum_matrix(rng, shape, sigma):
+    """A matrix of the given shape with singular values sigma (zeros pad)."""
+    r = min(shape)
+    u = np.linalg.qr(rng.standard_normal((shape[0], r)))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], r)))[0]
+    return (u * sigma) @ v.T
+
+
+SPECTRA = {
+    "flat": lambda r: np.ones(r),
+    "spread-1e-4": lambda r: np.logspace(0, -4, r),
+    "spread-1e-8": lambda r: np.logspace(0, -8, r),
+    "spread-1e-16": lambda r: np.logspace(0, -16, r),
+    "rank-deficient": lambda r: np.where(np.arange(r) < r // 2, np.linspace(1, 0.5, r), 0.0),
+    "rank-one": lambda r: np.eye(1, r)[0],
+}
+
+
+@pytest.mark.parametrize("shape", [(7, 12), (12, 7), (9, 9)], ids=["wide", "tall", "square"])
+@pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+def test_project_nuc_gram_route_matches_svd_oracle(rng, shape, spectrum):
+    for scale in (1e-8, 1.0, 1e8):
+        M = spectrum_matrix(rng, shape, scale * SPECTRA[spectrum](min(shape)))
+        total = nuclear_norm(M)
+        for fraction in (0.01, 0.5, 0.999999, 1.0 - 1e-10):
+            radius = fraction * total
+            ours = project_nuc(M, radius)
+            assert np.linalg.norm(ours - svd_oracle(M, radius)) <= 1e-12 * np.linalg.norm(M)
+            assert nuclear_norm(ours) <= radius * (1.0 + 1e-12)
+        slack = project_nuc(M, (1.0 + 1e-12) * total)
+        assert slack is not M and np.array_equal(slack, M)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(82, 120), (180, 16), (84, 90), (9, 9)])
+def test_project_nuc_takes_no_svd_on_well_conditioned_input(rng, svd_calls, shape):
+    for fraction in (0.05, 0.25, 0.9, 0.999):
+        M = rng.standard_normal(shape)
+        radius = fraction * float(np.linalg.norm(M, "nuc"))  # "nuc" does not go through np.linalg.svd
+        project_nuc(M, radius)
+        project_nuc(M, 2.0 * radius / fraction)
+    assert svd_calls == []
+
+
+def test_project_nuc_falls_back_to_the_svd_near_the_rounding_floor(rng, svd_calls):
+    # rank 2 of 5: the three zero singular values come out of the Gram near
+    # sqrt(eps) * sigma_1, and a radius this close to the nuclear norm puts
+    # the threshold among them
+    M = spectrum_matrix(rng, (5, 8), np.array([2.0, 1.0, 0.0, 0.0, 0.0]))
+    radius = (1.0 - 1e-10) * 3.0
+    ours = project_nuc(M, radius)
+    assert svd_calls == [(5, 8)]
+    assert np.linalg.norm(ours - svd_oracle(M, radius)) <= 1e-12 * np.linalg.norm(M)
+    # a Gram that overflows falls back as well
+    big = 1e160 * rng.standard_normal((4, 6))
+    radius = 0.5 * nuclear_norm(big)
+    del svd_calls[:]
+    with np.errstate(over="ignore"):
+        ours = project_nuc(big, radius)
+    assert svd_calls == [(4, 6)]
+    assert np.linalg.norm(ours / 1e160 - svd_oracle(big, radius) / 1e160) <= 1e-12 * np.linalg.norm(big / 1e160)
 
 
 def test_project_nuc_at_infinite_radius_returns_its_input(rng):
