@@ -57,7 +57,10 @@ def approx_rank_of(matrix) -> int:
 def factorize(params: ParameterMatrix, ids: list | None = None) -> EmbeddingResult:
     """Thin SVD of the parameter matrix, keeping sigma_i > _TRUNCATION_TOL * sigma_1.
 
-    A zero matrix produces an empty (r=0) embedding and a warning.
+    Each component's sign is fixed so that the largest-magnitude entry of
+    its basis column is positive (the first such entry on a tie), as
+    scikit-learn's svd_flip does, rather than left to LAPACK. A zero matrix
+    produces an empty (r=0) embedding and a warning.
     """
     data = params.data
     if ids is None:
@@ -73,6 +76,9 @@ def factorize(params: ParameterMatrix, ids: list | None = None) -> EmbeddingResu
     u = u[:, keep]
     sigma = sigma[keep]
     vt = vt[keep]
+    signs = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
+    u = u * signs
+    vt = vt * signs[:, None]
     return EmbeddingResult(
         basis=u,
         singular_values=sigma,

@@ -2,10 +2,17 @@
 
 Three encoding families:
 
-* character text -> 4-ary Huffman symbol stream -> one-hot simplex channels,
+* character text -> 4-ary Huffman symbol stream -> one-hot simplex channels.
+  clean_text drops non-ASCII characters and UNCOMMON_PUNCTUATION and
+  lower-cases; build_huffman codes the corpus character counts; with a
+  cutoff, each document keeps its first `cutoff` symbols, and
+  encode_corpus drops shorter documents with a warning,
 * nucleotide text -> 4 channels (A, C, T, G order) with ambiguity codes
   spreading equiprobable mass over their nucleotide sets,
 * univariate real signal -> 2 channels (signal, first difference).
+
+Text and genomes are processed by str and numpy operations that run in C,
+not by per-character Python loops.
 
 Symbolic outputs are probability columns, so downstream models can use the
 softmax link; the collections carry kind="probability-simplex" accordingly.
@@ -23,9 +30,12 @@ from lowrank_ar.model import SequenceCollection
 
 HUFFMAN_ARITY = 4
 DEFAULT_SYMBOL_CUTOFF = 1000
+_DROPPED_IDS_SHOWN = 5  # ids named by encode_corpus's warning about dropped documents
 
 # Stripped by clean_text along with non-ASCII characters.
 UNCOMMON_PUNCTUATION = '<>`=|?&[]*~!#@"'
+
+_PUNCTUATION_DELETION = str.maketrans("", "", UNCOMMON_PUNCTUATION)
 
 _NUCLEOTIDE_ORDER = "ACTG"
 
@@ -35,6 +45,26 @@ _IUPAC_SETS = {
     "R": "AG", "Y": "CT", "S": "CG", "W": "AT", "K": "GT", "M": "AC",
     "B": "CGT", "D": "AGT", "H": "ACT", "V": "ACG", "N": "ACGT",
 }
+
+
+def _iupac_table() -> np.ndarray:
+    """(4, 128) channel masses per ASCII code point; all-zero columns are not IUPAC."""
+    table = np.zeros((4, 128))
+    for code, members in _IUPAC_SETS.items():
+        for letter in (code, code.lower()):
+            for base in members:
+                table[_NUCLEOTIDE_ORDER.index(base), ord(letter)] = 1.0 / len(members)
+    return table
+
+
+_IUPAC_TABLE = _iupac_table()
+_IUPAC_VALID = _IUPAC_TABLE.any(axis=0)
+_NOT_IUPAC = 127  # DEL: a column of _IUPAC_TABLE that is all zero
+
+
+def _code_points(text: str) -> np.ndarray:
+    """Read-only uint32 code points of text, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
 class SequenceTooShortError(ValueError):
@@ -73,18 +103,26 @@ class HuffmanCode:
 
 
 def corpus_frequencies(texts) -> dict:
-    """Character counts over an iterable of documents."""
-    counts: dict = {}
+    """Character counts over an iterable of documents, keyed in code-point order.
+
+    Each document is counted on its own, so the transient buffer is one
+    document's code points, not the joined corpus's.
+    """
+    total = np.zeros(0, dtype=np.int64)
     for text in texts:
-        for ch in text:
-            counts[ch] = counts.get(ch, 0) + 1
-    return counts
+        counts = np.bincount(_code_points(text))
+        if counts.size > total.size:
+            counts[: total.size] += total
+            total = counts
+        else:
+            total[: counts.size] += counts
+    present = np.flatnonzero(total)
+    return dict(zip(map(chr, present.tolist()), total[present].tolist()))
 
 
 def clean_text(text: str, lowercase: bool = True) -> str:
     """Drop non-ASCII characters and the uncommon punctuation list."""
-    out = [ch for ch in text if ord(ch) < 128 and ch not in UNCOMMON_PUNCTUATION]
-    cleaned = "".join(out)
+    cleaned = text.encode("ascii", "ignore").decode("ascii").translate(_PUNCTUATION_DELETION)
     return cleaned.lower() if lowercase else cleaned
 
 
@@ -136,20 +174,32 @@ def build_huffman(freqs: dict, arity: int = HUFFMAN_ARITY) -> HuffmanCode:
     return HuffmanCode(codebook=codebook, frequency_table=dict(freqs), arity=arity)
 
 
-def encode_text(text: str, code: HuffmanCode) -> np.ndarray:
-    """Concatenated codewords as an int8 symbol array."""
+def _check_codable(text: str, code: HuffmanCode) -> None:
+    """ValueError naming the first character of text, in text order, without a codeword."""
     if not text:
         raise ValueError("text must be nonempty")
-    try:
-        coded = "".join(code.codebook[ch] for ch in text)
-    except KeyError as exc:
-        raise ValueError(f"character {exc.args[0]!r} missing from codebook") from None
+    missing = set(text) - code.codebook.keys()
+    if missing:
+        first = next(ch for ch in text if ch in missing)
+        raise ValueError(f"character {first!r} missing from codebook")
+
+
+def _symbols(text: str, code: HuffmanCode) -> np.ndarray:
+    """Concatenated codewords of text, every character of which has one."""
+    coded = text.translate(str.maketrans(code.codebook))
     return np.frombuffer(coded.encode("ascii"), dtype=np.int8) - ord("0")
+
+
+def encode_text(text: str, code: HuffmanCode) -> np.ndarray:
+    """Concatenated codewords as an int8 symbol array."""
+    _check_codable(text, code)
+    return _symbols(text, code)
 
 
 def decode_symbols(symbols, code: HuffmanCode) -> str:
     """Inverse of encode_text on complete codeword streams."""
     reverse = {w: ch for ch, w in code.codebook.items()}
+    max_len = code.max_len()
     out: list = []
     word = ""
     for s in np.asarray(symbols).tolist():
@@ -157,7 +207,7 @@ def decode_symbols(symbols, code: HuffmanCode) -> str:
         if word in reverse:
             out.append(reverse[word])
             word = ""
-        elif len(word) > code.max_len():
+        elif len(word) > max_len:
             raise ValueError("symbol stream does not match any codeword")
     if word:
         raise ValueError("trailing partial codeword")
@@ -183,9 +233,14 @@ def encode_symbolic(
 
     With a cutoff, streams shorter than cutoff symbols raise
     SequenceTooShortError and longer ones are truncated to exactly cutoff
-    columns, so accepted outputs share one length.
+    columns, so accepted outputs share one length. Every codeword has at
+    least one symbol, so only the first cutoff characters are coded; every
+    character of the text must still have a codeword.
     """
-    symbols = encode_text(text, code)
+    if cutoff is not None and cutoff < 1:
+        raise ValueError("cutoff must be a positive symbol count")
+    _check_codable(text, code)
+    symbols = _symbols(text if cutoff is None else text[:cutoff], code)
     if cutoff is not None:
         if symbols.size < cutoff:
             raise SequenceTooShortError(
@@ -202,12 +257,13 @@ def encode_corpus(
     labels=None,
     cutoff: int | None = DEFAULT_SYMBOL_CUTOFF,
 ) -> SequenceCollection:
-    """Encode documents, silently dropping ones below the cutoff."""
-    kept_seqs, kept_ids, kept_labels = [], [], []
+    """Encode documents, dropping ones below the cutoff with one warning."""
+    kept_seqs, kept_ids, kept_labels, dropped = [], [], [], []
     for i, (text, doc_id) in enumerate(zip(texts, ids)):
         try:
             seq = encode_symbolic(text, code, cutoff=cutoff)
         except SequenceTooShortError:
+            dropped.append(doc_id)
             continue
         kept_seqs.append(seq)
         kept_ids.append(doc_id)
@@ -215,6 +271,13 @@ def encode_corpus(
             kept_labels.append(labels[i])
     if not kept_seqs:
         raise ValueError("no document reached the cutoff length")
+    if dropped:
+        shown = ", ".join(map(str, dropped[:_DROPPED_IDS_SHOWN]))
+        more = ", ..." if len(dropped) > _DROPPED_IDS_SHOWN else ""
+        warnings.warn(
+            f"dropped {len(dropped)} document(s) coded to fewer than {cutoff} symbols: "
+            f"{shown}{more}"
+        )
     return SequenceCollection(
         sequences=tuple(kept_seqs),
         ids=tuple(kept_ids),
@@ -231,16 +294,17 @@ def encode_nucleotides(genome_text: str) -> np.ndarray:
     """
     if not genome_text:
         raise ValueError("genome text must be nonempty")
-    channel_of = {ch: i for i, ch in enumerate(_NUCLEOTIDE_ORDER)}
-    out = np.zeros((4, len(genome_text)))
-    for t, raw in enumerate(genome_text):
-        members = _IUPAC_SETS.get(raw.upper())
-        if members is None:
-            raise ValueError(f"non-IUPAC character {raw!r} at position {t}")
-        mass = 1.0 / len(members)
-        for base in members:
-            out[channel_of[base], t] = mass
-    return out
+    points = _code_points(genome_text)
+    columns = np.minimum(points, _NOT_IUPAC)
+    # a non-ASCII character counts when its upper case is a code, as U+017F is "S"
+    for t in np.flatnonzero(points > _NOT_IUPAC).tolist():
+        upper = genome_text[t].upper()
+        columns[t] = ord(upper) if upper in _IUPAC_SETS else _NOT_IUPAC
+    valid = _IUPAC_VALID[columns]
+    if not valid.all():
+        t = int(np.argmin(valid))
+        raise ValueError(f"non-IUPAC character {genome_text[t]!r} at position {t}")
+    return np.take(_IUPAC_TABLE, columns, axis=1)
 
 
 def encode_genomes(genomes, ids, labels=None) -> SequenceCollection:

@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,6 +582,31 @@ def test_embed_text_documents(tmp_path, per_line):
     losses = history_losses(out)
     assert len(losses) == 16 and all(math.isfinite(v) for v in losses)
     assert metrics["ari"] is None and len(read_labels_csv(tmp_path / "scores" / "assignments.csv")) == 6
+
+
+def test_embed_text_warns_on_stderr_about_dropped_documents(tmp_path):
+    # a separate process, so the warning reaches stderr as it does for a user
+    gen = np.random.default_rng(3)
+    paths = [tmp_path / f"doc{i}.txt" for i in range(5)]
+    for path in paths:
+        path.write_text(" ".join(gen.choice(WORDS, size=120)) + ".\n")
+    paths.append(tmp_path / "tiny.txt")
+    paths[-1].write_text("alpha beta.\n")
+    cfg = tmp_path / "embed.json"
+    write_json({"input": {"format": "text", "path": [str(p) for p in paths]},
+                "cutoff": 300, "d": 2, "iters": 4}, cfg)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lowrank_ar.cli", "embed", "--config", str(cfg),
+         "--out", str(tmp_path / "emb")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "dropped 1 document(s) coded to fewer than 300 symbols: tiny" in proc.stderr
+    ids, _, _ = read_embedding_csv(tmp_path / "emb" / "embeddings.csv")
+    assert ids == [f"doc{i}" for i in range(5)]
 
 
 def test_embed_fasta_records_labelled_by_description(tmp_path):

@@ -37,6 +37,18 @@ def test_factorize_reconstructs(rng):
     assert np.allclose(emb.coordinates, emb.basis.T @ params.data, atol=1e-10)
 
 
+def test_factorize_fixes_component_signs(rng):
+    params = low_rank_params(rng, rank=3)
+    emb = factorize(params)
+    assert np.all(emb.basis[np.argmax(np.abs(emb.basis), axis=0), np.arange(emb.r)] > 0)
+    # -B has the same components; only the coordinates change sign
+    negated = factorize(ParameterMatrix(-params.data, channel_count=1, order=params.order))
+    assert np.allclose(negated.basis, emb.basis, atol=1e-12)
+    assert np.allclose(negated.coordinates, -emb.coordinates, atol=1e-12)
+    recon = emb.basis @ emb.coordinates
+    assert np.max(np.abs(recon - params.data)) <= 1e-12
+
+
 def test_factorize_default_ids(rng):
     params = low_rank_params(rng, n=3)
     emb = factorize(params)

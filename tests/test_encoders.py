@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lowrank_ar.encoders import (
     DEFAULT_SYMBOL_CUTOFF,
     HUFFMAN_ARITY,
+    UNCOMMON_PUNCTUATION,
     HuffmanCode,
     SequenceTooShortError,
     build_huffman,
@@ -48,6 +49,85 @@ def code_expected_length(code):
     return sum(
         w * len(code.codebook[ch]) for ch, w in code.frequency_table.items()
     )
+
+
+# ---------------------------------------------------------------- reference oracles
+# Per-character loops, kept as the specification the vectorised encoders must match.
+
+
+def clean_text_oracle(text, lowercase=True):
+    cleaned = "".join(ch for ch in text if ord(ch) < 128 and ch not in UNCOMMON_PUNCTUATION)
+    return cleaned.lower() if lowercase else cleaned
+
+
+def corpus_frequencies_oracle(texts):
+    counts = {}
+    for text in texts:
+        for ch in text:
+            counts[ch] = counts.get(ch, 0) + 1
+    return counts
+
+
+def encode_text_oracle(text, code):
+    if not text:
+        raise ValueError("text must be nonempty")
+    try:
+        coded = "".join(code.codebook[ch] for ch in text)
+    except KeyError as exc:
+        raise ValueError(f"character {exc.args[0]!r} missing from codebook") from None
+    return np.frombuffer(coded.encode("ascii"), dtype=np.int8) - ord("0")
+
+
+def encode_symbolic_oracle(text, code, cutoff):
+    symbols = encode_text_oracle(text, code)
+    if cutoff is not None:
+        if symbols.size < cutoff:
+            raise SequenceTooShortError(f"coded length {symbols.size} below cutoff {cutoff}")
+        symbols = symbols[:cutoff]
+    return one_hot(symbols, code.arity)
+
+
+IUPAC_ORACLE = {
+    "A": "A", "C": "C", "G": "G", "T": "T", "U": "T",
+    "R": "AG", "Y": "CT", "S": "CG", "W": "AT", "K": "GT", "M": "AC",
+    "B": "CGT", "D": "AGT", "H": "ACT", "V": "ACG", "N": "ACGT",
+}
+
+
+def encode_nucleotides_oracle(genome_text):
+    if not genome_text:
+        raise ValueError("genome text must be nonempty")
+    out = np.zeros((4, len(genome_text)))
+    for t, raw in enumerate(genome_text):
+        members = IUPAC_ORACLE.get(raw.upper())
+        if members is None:
+            raise ValueError(f"non-IUPAC character {raw!r} at position {t}")
+        for base in members:
+            out["ACTG".index(base), t] = 1.0 / len(members)
+    return out
+
+
+def outcome(fn, *args):
+    """What fn(*args) gives: an array's dtype, shape, layout and bytes, any other value, or
+    the type and message of what it raises."""
+    try:
+        value = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.flags.c_contiguous, value.tobytes()
+    return value
+
+
+# Any code point, lone surrogates included, with the characters the encoders single out
+# (uncommon punctuation, upper case, U+017F whose upper case is "S") drawn more often.
+ANY_CHAR = st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(categories=["Cs"]),
+    st.sampled_from(UNCOMMON_PUNCTUATION),
+    st.sampled_from("aZ .,\u017f\u00e9\u00c4\u0130\u212a"),
+)
+IUPAC_CHAR = st.sampled_from("".join(IUPAC_ORACLE) + "".join(IUPAC_ORACLE).lower() + "\u017f")
 
 
 # ---------------------------------------------------------------- huffman
@@ -113,12 +193,37 @@ def test_code_validation():
 
 def test_corpus_frequencies():
     assert corpus_frequencies(["aab", "bc"]) == {"a": 2, "b": 2, "c": 1}
+    assert list(corpus_frequencies(["cab", "ba"])) == ["a", "b", "c"]
+    assert corpus_frequencies(iter(["", "a\U0010ffff"])) == {"a": 1, "\U0010ffff": 1}
 
 
 def test_clean_text():
     assert clean_text("Héllo <W>orld!") == "hllo world"
     assert clean_text("AbC", lowercase=False) == "AbC"
     assert clean_text('a"b#c') == "abc"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(ANY_CHAR, max_size=60), lowercase=st.booleans())
+def test_clean_text_matches_oracle(text, lowercase):
+    assert clean_text(text, lowercase) == clean_text_oracle(text, lowercase)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.text(ANY_CHAR, max_size=40), max_size=5))
+def test_corpus_frequencies_matches_oracle(texts):
+    freqs = corpus_frequencies(texts)
+    assert freqs == corpus_frequencies_oracle(texts)
+    assert all(type(n) is int for n in freqs.values())
+    assert list(freqs) == sorted(freqs)  # code-point order
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(st.text(ANY_CHAR, min_size=2, max_size=40), min_size=1, max_size=4))
+def test_codebook_does_not_depend_on_count_order(texts):
+    freqs = corpus_frequencies(texts)
+    if len(freqs) >= 2:
+        assert build_huffman(freqs).codebook == build_huffman(corpus_frequencies_oracle(texts)).codebook
 
 
 # ---------------------------------------------------------------- round trips
@@ -138,6 +243,42 @@ def test_encode_text_missing_character():
         encode_text("abc", code)
     with pytest.raises(ValueError):
         encode_text("", code)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    corpus=st.lists(st.text(ANY_CHAR, min_size=1, max_size=30), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_encode_text_and_symbolic_match_oracles(corpus, data):
+    freqs = corpus_frequencies_oracle(corpus + ["ab"])
+    code = build_huffman(freqs)
+    known = st.sampled_from(sorted(freqs))
+    text = data.draw(st.text(st.one_of(known, known, known, ANY_CHAR), max_size=60))
+    cutoff = data.draw(st.one_of(st.none(), st.integers(min_value=1, max_value=80)))
+    assert outcome(encode_text, text, code) == outcome(encode_text_oracle, text, code)
+    assert outcome(encode_symbolic, text, code, cutoff) == outcome(
+        encode_symbolic_oracle, text, code, cutoff
+    )
+
+
+def test_encode_symbolic_checks_characters_past_the_cutoff():
+    code = build_huffman({"a": 1, "b": 1}, arity=2)
+    for fn in (encode_symbolic, encode_symbolic_oracle):
+        with pytest.raises(ValueError, match="'c' missing"):
+            fn("ab" * 10 + "c", code, 5)
+        with pytest.raises(ValueError, match="'d' missing"):
+            fn("ab" * 10 + "dcd", code, 5)
+
+
+def test_decode_scans_the_codebook_once(monkeypatch):
+    code = build_huffman({"a": 3, "b": 2, "c": 1, "d": 1, "e": 1}, arity=2)
+    symbols = encode_text("abcde" * 20, code)
+    calls = []
+    original = HuffmanCode.max_len
+    monkeypatch.setattr(HuffmanCode, "max_len", lambda self: calls.append(1) or original(self))
+    assert decode_symbols(symbols, code) == "abcde" * 20
+    assert len(calls) == 1
 
 
 def test_decode_rejects_unmatched_and_trailing():
@@ -192,16 +333,30 @@ def test_encode_symbolic_cutoff():
         encode_symbolic("ab", code, cutoff=50)
     full = encode_symbolic("ab", code, cutoff=None)
     assert full.shape[1] == encode_text("ab", code).size
+    for cutoff in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            encode_symbolic("ab" * 30, code, cutoff=cutoff)
 
 
 def test_encode_corpus_drops_short_documents():
     code = build_huffman({"a": 1, "b": 1}, arity=2)
     texts = ["ab" * 40, "a", "ba" * 40]
-    coll = encode_corpus(texts, ids=["x", "y", "z"], code=code, labels=[0, 1, 2], cutoff=60)
+    with pytest.warns(UserWarning, match=r"dropped 1 document\(s\) coded to fewer than 60 symbols: y$"):
+        coll = encode_corpus(texts, ids=["x", "y", "z"], code=code, labels=[0, 1, 2], cutoff=60)
     assert tuple(coll.ids) == ("x", "z")
     assert tuple(coll.labels) == (0, 2)
     assert coll.kind == "probability-simplex"
     assert all(seq.shape == (2, 60) for seq in coll.sequences)
+
+
+def test_encode_corpus_warning_names_the_first_five_dropped():
+    code = build_huffman({"a": 1, "b": 1}, arity=2)
+    ids = [f"d{i}" for i in range(8)]
+    with pytest.warns(UserWarning, match=r"dropped 7 document\(s\).*: d1, d2, d3, d4, d5, \.\.\.$"):
+        encode_corpus(["ab" * 10] + ["a"] * 7, ids=ids, code=code, cutoff=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        encode_corpus(["ab" * 10, "ba" * 10], ids=["x", "y"], code=code, cutoff=10)
 
 
 def test_encode_corpus_all_short_raises():
@@ -232,6 +387,18 @@ def test_nucleotide_case_and_errors():
         encode_nucleotides("ACX")
     with pytest.raises(ValueError):
         encode_nucleotides("")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    genome=st.text(IUPAC_CHAR, max_size=50),
+    insert=st.one_of(st.none(), st.tuples(st.integers(min_value=0), ANY_CHAR)),
+)
+def test_encode_nucleotides_matches_oracle(genome, insert):
+    if insert is not None:
+        at = insert[0] % (len(genome) + 1)
+        genome = genome[:at] + insert[1] + genome[at:]
+    assert outcome(encode_nucleotides, genome) == outcome(encode_nucleotides_oracle, genome)
 
 
 def test_nucleotide_columns_sum_to_one(rng):
