@@ -178,10 +178,9 @@ def _check_codable(text: str, code: HuffmanCode) -> None:
     """ValueError naming the first character of text, in text order, without a codeword."""
     if not text:
         raise ValueError("text must be nonempty")
-    missing = set(text) - code.codebook.keys()
+    missing = text.translate(dict.fromkeys(map(ord, code.codebook)))
     if missing:
-        first = next(ch for ch in text if ch in missing)
-        raise ValueError(f"character {first!r} missing from codebook")
+        raise ValueError(f"character {missing[0]!r} missing from codebook")
 
 
 def _symbols(text: str, code: HuffmanCode) -> np.ndarray:
@@ -276,7 +275,8 @@ def encode_corpus(
         more = ", ..." if len(dropped) > _DROPPED_IDS_SHOWN else ""
         warnings.warn(
             f"dropped {len(dropped)} document(s) coded to fewer than {cutoff} symbols: "
-            f"{shown}{more}"
+            f"{shown}{more}",
+            stacklevel=2,
         )
     return SequenceCollection(
         sequences=tuple(kept_seqs),
