@@ -11,8 +11,8 @@ Three encoding families:
   spreading equiprobable mass over their nucleotide sets,
 * univariate real signal -> 2 channels (signal, first difference).
 
-Text and genomes are processed by str and numpy operations that run in C,
-not by per-character Python loops.
+Text and genomes go through str and numpy operations that run in C; the
+tests keep per-character loops as their reference.
 
 Symbolic outputs are probability columns, so downstream models can use the
 softmax link; the collections carry kind="probability-simplex" accordingly.
