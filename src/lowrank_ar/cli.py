@@ -232,6 +232,11 @@ def _ingest(config: dict):
     raw = config["input"]
     if raw is None:
         raise ConfigError("config key 'input' is required")
+    cutoff = config["cutoff"]
+    if cutoff is not None and (type(cutoff) is not int or cutoff < 1):
+        raise ConfigError(
+            f"config key 'cutoff' must be null or a positive integer, got {cutoff!r}"
+        )
     if isinstance(raw, str):
         raw = {"format": "collection", "path": raw}
     spec = _merge(_INPUT_DEFAULTS, raw, "input")

@@ -6,7 +6,7 @@ Three encoding families:
   clean_text drops non-ASCII characters and UNCOMMON_PUNCTUATION and
   lower-cases; build_huffman codes the corpus character counts; with a
   cutoff, each document keeps its first `cutoff` symbols, and
-  encode_corpus drops shorter documents with a warning,
+  encode_corpus drops empty and shorter documents with a warning,
 * nucleotide text -> 4 channels (A, C, T, G order) with ambiguity codes
   spreading equiprobable mass over their nucleotide sets,
 * univariate real signal -> 2 channels (signal, first difference).
@@ -230,14 +230,16 @@ def encode_symbolic(
 ) -> np.ndarray:
     """One-hot channel matrix of the Huffman-coded text.
 
-    With a cutoff, streams shorter than cutoff symbols raise
-    SequenceTooShortError and longer ones are truncated to exactly cutoff
-    columns, so accepted outputs share one length. Every codeword has at
+    Empty text, and with a cutoff any stream shorter than cutoff symbols,
+    raises SequenceTooShortError; longer streams are truncated to exactly
+    cutoff columns, so accepted outputs share one length. Every codeword has at
     least one symbol, so only the first cutoff characters are coded; every
     character of the text must still have a codeword.
     """
     if cutoff is not None and cutoff < 1:
         raise ValueError("cutoff must be a positive symbol count")
+    if not text:
+        raise SequenceTooShortError("text must be nonempty")
     _check_codable(text, code)
     symbols = _symbols(text if cutoff is None else text[:cutoff], code)
     if cutoff is not None:
@@ -256,7 +258,7 @@ def encode_corpus(
     labels=None,
     cutoff: int | None = DEFAULT_SYMBOL_CUTOFF,
 ) -> SequenceCollection:
-    """Encode documents, dropping ones below the cutoff with one warning."""
+    """Encode documents, dropping empty ones and ones below the cutoff with one warning."""
     kept_seqs, kept_ids, kept_labels, dropped = [], [], [], []
     for i, (text, doc_id) in enumerate(zip(texts, ids)):
         try:
@@ -274,7 +276,7 @@ def encode_corpus(
         shown = ", ".join(map(str, dropped[:_DROPPED_IDS_SHOWN]))
         more = ", ..." if len(dropped) > _DROPPED_IDS_SHOWN else ""
         warnings.warn(
-            f"dropped {len(dropped)} document(s) coded to fewer than {cutoff} symbols: "
+            f"dropped {len(dropped)} document(s) coded to fewer than {cutoff or 1} symbols: "
             f"{shown}{more}",
             stacklevel=2,
         )
@@ -318,27 +320,33 @@ def encode_genomes(genomes, ids, labels=None) -> SequenceCollection:
     )
 
 
+def znormalize(channels) -> np.ndarray:
+    """Each row of a (C, T) array centred to mean 0 and scaled to unit variance.
+
+    A constant row is centred but left unscaled, with a warning, since
+    dividing by zero spread (or by the rounding left of it) is meaningless.
+    """
+    x = np.asarray(channels, dtype=float)
+    centred = x - x.mean(axis=1, keepdims=True)
+    # x.std(axis=1) bit for bit, without computing the mean a second time
+    std = np.sqrt(np.mean(centred * centred, axis=1, keepdims=True))
+    flat = (x == x[:, :1]).all(axis=1, keepdims=True)
+    if flat.any():
+        warnings.warn("zero-variance channel left unscaled", stacklevel=2)
+        std = np.where(flat, 1.0, std)
+    return centred / std
+
+
 def encode_signal_with_diff(series, normalize: bool = True) -> np.ndarray:
     """(2, T) channels: the signal and its first difference (first entry 0).
 
-    Each channel is z-normalized to mean 0 and unit variance unless
-    disabled. A zero-variance channel is centered but left unscaled, with a
-    warning, since dividing by zero spread is meaningless.
+    Each channel is z-normalized by znormalize unless disabled.
     """
     x = np.asarray(series, dtype=float).ravel()
     if x.size < 2:
         raise ValueError("series must have length at least 2")
-    diff = np.concatenate([[0.0], np.diff(x)])
-    out = np.stack([x, diff])
-    if normalize:
-        out = out - out.mean(axis=1, keepdims=True)
-        std = out.std(axis=1)
-        flat = std == 0
-        if flat.any():
-            warnings.warn("zero-variance channel left unscaled")
-            std = np.where(flat, 1.0, std)
-        out = out / std[:, None]
-    return out
+    out = np.stack([x, np.concatenate([[0.0], np.diff(x)])])
+    return znormalize(out) if normalize else out
 
 
 def encode_signals(series_list, ids, labels=None, normalize: bool = True) -> SequenceCollection:

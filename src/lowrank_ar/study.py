@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lowrank_ar.embedding import approx_rank_of, factorize, pca_project
+from lowrank_ar.encoders import znormalize
 from lowrank_ar.evalkit import LambdaProblem, ari, kmeans, lambda_search, radius_path
 from lowrank_ar.field import EmpiricalField, FieldSpec
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
@@ -26,9 +27,9 @@ from lowrank_ar.synthetic import gen_benchmark, standard_class_specs
 
 
 def znorm(collection: SequenceCollection) -> SequenceCollection:
-    """Per-sequence standardization to zero mean and unit variance."""
+    """Per-channel standardization of each sequence (encoders.znormalize)."""
     return SequenceCollection(
-        sequences=[(s - s.mean()) / s.std() for s in collection.sequences],
+        sequences=[znormalize(s) for s in collection.sequences],
         ids=collection.ids,
         labels=collection.labels,
         kind="real",

@@ -7,8 +7,14 @@ collection and the true per-sequence coefficient matrix so recovery error
 can be measured exactly.
 
 Per-sequence randomness is derived from one integer seed drawn up front per
-sequence, so generation is independent of iteration order and could run in
-parallel without changing the output.
+sequence, and each sequence draws its coefficients, initial values and
+innovations from its own child generator in that order. A class is simulated
+in lockstep: one recursion advances every sequence of the class together, a
+time step at a time, adding each sequence's lags in a fixed left-to-right
+order, so a path does not depend on which other sequences share its batch.
+A sequence whose path exceeds the blow-up guard (or turns non-finite) redraws
+from its own generator and only the redrawn sequences run again, up to
+_MAX_DRAWS attempts before UnstableCoefficientsError.
 """
 
 from __future__ import annotations
@@ -143,6 +149,34 @@ def perturb(
     return baseline + theta * np.asarray(fixed_vector, dtype=float)
 
 
+def _recurse(coeffs: np.ndarray, x0: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Paths (T, k) of k AR(d) columns, and which of them stayed within the blow-up guard.
+
+    Column j starts from x0[:, j] (d values), has coefficients coeffs[:, j]
+    (most recent lag first) and innovations eps[:, j]. Every column advances
+    together, one time step at a time. Each step adds a column's lags one
+    at a time, oldest first: np.add.accumulate along the lag axis, never a
+    pairwise sum, so a column's path does not depend on the batch around
+    it. Columns that overflow run on to inf or NaN and are reported unstable.
+    """
+    d, k = x0.shape
+    x = np.empty((d + eps.shape[0], k))
+    x[:d] = x0
+    rev = coeffs[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(d, x.shape[0]):
+            x[t] = np.add.accumulate(rev * x[t - d : t], axis=0)[-1] + eps[t - d]
+        return x, (np.abs(x[d:]) <= _BLOWUP).all(axis=0)
+
+
+def _unstable(path: np.ndarray, coeffs: np.ndarray) -> UnstableCoefficientsError:
+    t = len(coeffs) + int(np.argmin(np.abs(path[len(coeffs):]) <= _BLOWUP))
+    return UnstableCoefficientsError(
+        f"|x_{t + 1}| exceeded {_BLOWUP:g}; coefficient draw is unstable "
+        f"(sum of coefficients {coeffs.sum():.3f})"
+    )
+
+
 def simulate_ar(
     coeffs: np.ndarray,
     t_len: int,
@@ -152,63 +186,51 @@ def simulate_ar(
 ) -> np.ndarray:
     """AR(d) path: x_t ~ N(0,1) for t <= d, then x_t = sum_s b_s x_{t-s} + eps_t.
 
-    Raises UnstableCoefficientsError as soon as |x_t| exceeds the blow-up
-    guard, which stops unstable coefficient draws from flooding downstream
-    computations with overflow.
+    Raises UnstableCoefficientsError, naming the first step, when |x_t|
+    exceeds the blow-up guard, which stops unstable coefficient draws from
+    flooding downstream computations with overflow.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (d,):
         raise ValueError(f"coeffs must have shape ({d},), got {coeffs.shape}")
     if t_len <= d:
         raise ValueError("t_len must exceed d")
-    x = np.empty(t_len)
-    x[:d] = rng.standard_normal(d)
+    x0 = rng.standard_normal(d)
     eps = rng.normal(0.0, math.sqrt(noise_var), size=t_len - d)
-    rev = coeffs[::-1]  # aligns b_1..b_d with x[t-d:t] read left to right
-    for t in range(d, t_len):
-        x[t] = rev @ x[t - d : t] + eps[t - d]
-        if not math.isfinite(x[t]) or abs(x[t]) > _BLOWUP:
-            raise UnstableCoefficientsError(
-                f"|x_{t + 1}| exceeded {_BLOWUP:g}; coefficient draw is unstable "
-                f"(sum of coefficients {coeffs.sum():.3f})"
-            )
-    return x
-
-
-def _gen_sequence(
-    baseline: np.ndarray,
-    spec: GenClassSpec,
-    child: np.random.Generator,
-    fixed_vector: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    # Fresh coefficients and path on each retry; the last failure propagates.
-    for attempt in range(_MAX_DRAWS):
-        coeffs = perturb(baseline, spec, child, fixed_vector=fixed_vector)
-        try:
-            path = simulate_ar(coeffs, spec.t_len, spec.d, spec.noise_var, child)
-        except UnstableCoefficientsError:
-            if attempt == _MAX_DRAWS - 1:
-                raise
-            continue
-        return coeffs, path
-    raise AssertionError("unreachable")
+    x, stable = _recurse(coeffs[:, None], x0[:, None], eps[:, None])
+    if not stable[0]:
+        raise _unstable(x[:, 0], coeffs)
+    return x[:, 0].copy()
 
 
 def gen_class(
     spec: GenClassSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All sequences of one class: (paths (N, T), coefficients (d, N))."""
+    """All sequences of one class, in lockstep: (paths (N, T), coefficients (d, N))."""
     baseline = gen_baseline(spec, rng)
     fixed_vector = None
     if spec.perturbation == "uniform-times-fixed-vector":
         fixed_vector = draw_unit_vector(spec.d, rng)
-    child_seeds = rng.integers(0, 2**63, size=spec.n_per_class)
+    seeds = rng.integers(0, 2**63, size=spec.n_per_class)
+    children = [np.random.default_rng(int(seed)) for seed in seeds]
+    std = math.sqrt(spec.noise_var)
     paths = np.empty((spec.n_per_class, spec.t_len))
     coeffs = np.empty((spec.d, spec.n_per_class))
-    for i, seed in enumerate(child_seeds):
-        child = np.random.default_rng(int(seed))
-        coeffs[:, i], paths[i] = _gen_sequence(baseline, spec, child, fixed_vector)
-    return paths, coeffs
+    pending = np.arange(spec.n_per_class)
+    for _ in range(_MAX_DRAWS):
+        draws = [
+            (perturb(baseline, spec, children[i], fixed_vector=fixed_vector),
+             children[i].standard_normal(spec.d),
+             children[i].normal(0.0, std, size=spec.t_len - spec.d))
+            for i in pending
+        ]
+        b, x0, eps = (np.stack(parts, axis=1) for parts in zip(*draws))
+        x, stable = _recurse(b, x0, eps)
+        coeffs[:, pending[stable]], paths[pending[stable]] = b[:, stable], x[:, stable].T
+        if stable.all():
+            return paths, coeffs
+        pending, b, x = pending[~stable], b[:, ~stable], x[:, ~stable]
+    raise _unstable(x[:, 0], b[:, 0])
 
 
 def gen_benchmark(

@@ -584,29 +584,60 @@ def test_embed_text_documents(tmp_path, per_line):
     assert metrics["ari"] is None and len(read_labels_csv(tmp_path / "scores" / "assignments.csv")) == 6
 
 
-def test_embed_text_warns_on_stderr_about_dropped_documents(tmp_path):
-    # a separate process, so the warning reaches stderr as it does for a user
-    gen = np.random.default_rng(3)
-    paths = [tmp_path / f"doc{i}.txt" for i in range(5)]
-    for path in paths:
-        path.write_text(" ".join(gen.choice(WORDS, size=120)) + ".\n")
-    paths.append(tmp_path / "tiny.txt")
-    paths[-1].write_text("alpha beta.\n")
+def embed_text_in_child(tmp_path, paths):
+    """embed on the text files, in a separate process so warnings reach stderr as for a user."""
     cfg = tmp_path / "embed.json"
     write_json({"input": {"format": "text", "path": [str(p) for p in paths]},
                 "cutoff": 300, "d": 2, "iters": 4}, cfg)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "lowrank_ar.cli", "embed", "--config", str(cfg),
          "--out", str(tmp_path / "emb")],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def word_documents(tmp_path, n):
+    gen = np.random.default_rng(3)
+    paths = [tmp_path / f"doc{i}.txt" for i in range(n)]
+    for path in paths:
+        path.write_text(" ".join(gen.choice(WORDS, size=120)) + ".\n")
+    return paths
+
+
+def test_embed_text_warns_on_stderr_about_dropped_documents(tmp_path):
+    paths = word_documents(tmp_path, 5)
+    paths.append(tmp_path / "tiny.txt")
+    paths[-1].write_text("alpha beta.\n")
+    proc = embed_text_in_child(tmp_path, paths)
     assert proc.returncode == 0, proc.stderr
     assert "dropped 1 document(s) coded to fewer than 300 symbols: tiny" in proc.stderr
     ids, _, _ = read_embedding_csv(tmp_path / "emb" / "embeddings.csv")
     assert ids == [f"doc{i}" for i in range(5)]
+
+
+def test_embed_text_drops_a_document_that_cleans_to_nothing(tmp_path):
+    # clean_text drops every non-ASCII character, so this document becomes empty
+    paths = word_documents(tmp_path, 4)
+    paths.append(tmp_path / "accents.txt")
+    paths[-1].write_text("\u00e9\u00e9\u00e9", encoding="utf-8")
+    proc = embed_text_in_child(tmp_path, paths)
+    assert proc.returncode == 0, proc.stderr
+    assert "dropped 1 document(s) coded to fewer than 300 symbols: accents" in proc.stderr
+    ids, _, _ = read_embedding_csv(tmp_path / "emb" / "embeddings.csv")
+    assert ids == [f"doc{i}" for i in range(4)]
+
+
+@pytest.mark.parametrize("cutoff", [300.5, 0, -5, True, "300", [300]])
+def test_embed_rejects_a_cutoff_that_is_not_a_positive_integer(tmp_path, capsys, cutoff):
+    paths = word_documents(tmp_path, 4)
+    cfg = tmp_path / "embed.json"
+    write_json({"input": {"format": "text", "path": [str(p) for p in paths]},
+                "cutoff": cutoff, "d": 2, "iters": 4}, cfg)
+    assert run(["embed", "--config", cfg, "--out", tmp_path / "emb"]) == 2
+    assert "'cutoff'" in capsys.readouterr().err
 
 
 def test_embed_fasta_records_labelled_by_description(tmp_path):

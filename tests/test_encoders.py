@@ -27,7 +27,10 @@ from lowrank_ar.encoders import (
     encode_symbolic,
     encode_text,
     one_hot,
+    znormalize,
 )
+from lowrank_ar.model import SequenceCollection
+from lowrank_ar.study import znorm
 
 
 def optimal_expected_length(freqs, arity):
@@ -79,6 +82,8 @@ def encode_text_oracle(text, code):
 
 
 def encode_symbolic_oracle(text, code, cutoff):
+    if not text:
+        raise SequenceTooShortError("text must be nonempty")
     symbols = encode_text_oracle(text, code)
     if cutoff is not None:
         if symbols.size < cutoff:
@@ -359,6 +364,17 @@ def test_encode_corpus_warning_names_the_first_five_dropped():
         encode_corpus(["ab" * 10, "ba" * 10], ids=["x", "y"], code=code, cutoff=10)
 
 
+def test_encode_corpus_drops_empty_documents():
+    code = build_huffman({"a": 1, "b": 1}, arity=2)
+    for cutoff, least in ((10, 10), (None, 1)):
+        with pytest.raises(SequenceTooShortError, match="nonempty"):
+            encode_symbolic("", code, cutoff)
+        shown = rf"dropped 1 document\(s\) coded to fewer than {least} symbols: e$"
+        with pytest.warns(UserWarning, match=shown):
+            coll = encode_corpus(["ab" * 10, ""], ids=["x", "e"], code=code, cutoff=cutoff)
+        assert tuple(coll.ids) == ("x",)
+
+
 def test_encode_corpus_all_short_raises():
     code = build_huffman({"a": 1, "b": 1}, arity=2)
     with pytest.raises(ValueError, match="cutoff"):
@@ -434,6 +450,25 @@ def test_signal_zero_variance_warns():
     with pytest.warns(UserWarning, match="zero-variance"):
         out = encode_signal_with_diff([3.0, 3.0, 3.0])
     assert np.array_equal(out[0], np.zeros(3))
+
+
+def test_znormalize_centres_constant_rows_without_scaling():
+    # a row of 0.1s has a computed spread of about 1.4e-17, not 0
+    rows = np.stack([np.full(128, 0.1), np.arange(128.0)])
+    with pytest.warns(UserWarning, match="zero-variance"):
+        out = znormalize(rows)
+    assert np.all(np.abs(out[0]) <= 1e-15)
+    assert out[1].std() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_study_znorm_is_the_shared_normalisation():
+    ramp = np.sqrt(np.arange(50.0) + 6)  # the spread of its centred copy differs in the last bit
+    coll = SequenceCollection(sequences=[np.full(50, 2.5), ramp], ids=["flat", "ramp"])
+    with pytest.warns(UserWarning, match="zero-variance"):
+        out = znorm(coll)
+    assert np.array_equal(out.sequences[0], np.zeros((1, 50)))
+    # bit for bit the per-sequence standardisation the study has always used
+    assert np.array_equal(out.sequences[1][0], (ramp - ramp.mean()) / ramp.std())
 
 
 def test_signal_length_check():

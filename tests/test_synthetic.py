@@ -1,10 +1,12 @@
 """Benchmark generator: baselines, perturbations, AR simulation, assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import lowrank_ar.synthetic as synthetic_module
 from lowrank_ar.synthetic import (
     STANDARD_PROCEDURES,
     GenClassSpec,
@@ -17,6 +19,73 @@ from lowrank_ar.synthetic import (
     simulate_ar,
     standard_class_specs,
 )
+
+
+# ---------------------------------------------------------------- reference oracles
+# The per-sequence, per-step generator that the lockstep recursion replaced.
+
+
+def simulate_ar_oracle(coeffs, t_len, d, noise_var, rng):
+    x = np.empty(t_len)
+    x[:d] = rng.standard_normal(d)
+    eps = rng.normal(0.0, math.sqrt(noise_var), size=t_len - d)
+    rev = coeffs[::-1]
+    for t in range(d, t_len):
+        x[t] = rev @ x[t - d : t] + eps[t - d]
+        if not math.isfinite(x[t]) or abs(x[t]) > 1e12:
+            raise UnstableCoefficientsError(
+                f"|x_{t + 1}| exceeded 1e+12; coefficient draw is unstable "
+                f"(sum of coefficients {coeffs.sum():.3f})"
+            )
+    return x
+
+
+def gen_class_oracle(spec, rng):
+    baseline = gen_baseline(spec, rng)
+    fixed_vector = None
+    if spec.perturbation == "uniform-times-fixed-vector":
+        fixed_vector = draw_unit_vector(spec.d, rng)
+    child_seeds = rng.integers(0, 2**63, size=spec.n_per_class)
+    paths = np.empty((spec.n_per_class, spec.t_len))
+    coeffs = np.empty((spec.d, spec.n_per_class))
+    for i, seed in enumerate(child_seeds):
+        child = np.random.default_rng(int(seed))
+        for attempt in range(50):
+            coeffs[:, i] = perturb(baseline, spec, child, fixed_vector=fixed_vector)
+            try:
+                args = (coeffs[:, i], spec.t_len, spec.d, spec.noise_var, child)
+                paths[i] = simulate_ar_oracle(*args)
+                break
+            except UnstableCoefficientsError:
+                if attempt == 49:
+                    raise
+    return paths, coeffs
+
+
+def outcome(fn, *args):
+    """The array or arrays fn(*args) returns, as dtype, shape, layout and bytes, or the message
+    it raises."""
+    try:
+        value = fn(*args)
+    except UnstableCoefficientsError as exc:
+        return str(exc)
+    arrays = value if isinstance(value, tuple) else (value,)
+    return [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in arrays]
+
+
+@pytest.fixture
+def batch_widths(monkeypatch):
+    """Columns in each call of the lockstep recursion, and whether its paths stayed finite."""
+    calls = []
+    recurse = synthetic_module._recurse
+
+    def recording(coeffs, x0, eps):
+        x, stable = recurse(coeffs, x0, eps)
+        calls.append((x.shape[1], bool(np.isfinite(x).all())))
+        return x, stable
+
+    monkeypatch.setattr(synthetic_module, "_recurse", recording)
+    return calls
 
 
 def spec_for(baseline="exp-decay", perturbation="gaussian", **kwargs):
@@ -160,6 +229,17 @@ def test_simulate_ar_blowup_raises():
         simulate_ar(np.array([1.5]), 300, 1, 0.01, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_simulate_ar_matches_per_step_oracle(seed):
+    # 3 of the 40 draws are unstable, so both outcomes are compared
+    gen = np.random.default_rng(seed)
+    d = int(gen.integers(1, 20))
+    args = (gen.normal(0.0, 0.4, size=d), int(gen.integers(d + 1, 300)), d, 0.02)
+    assert outcome(simulate_ar, *args, np.random.default_rng(seed)) == outcome(
+        simulate_ar_oracle, *args, np.random.default_rng(seed)
+    )
+
+
 # ---------------------------------------------------------------- classes
 
 
@@ -176,6 +256,46 @@ def test_gen_class_sequences_differ(rng):
     paths, coeffs = gen_class(spec, rng)
     assert not np.array_equal(coeffs[:, 0], coeffs[:, 1])
     assert not np.array_equal(paths[0], paths[1])
+
+
+def test_gen_class_matches_oracle_through_redraws(batch_widths):
+    # seed 0 redraws two of twelve sequences, then one of them twice more, alone
+    spec = spec_for(d=4, n_per_class=12, t_len=120, perturbation_var=0.3)
+    got = outcome(gen_class, spec, np.random.default_rng(0))
+    assert batch_widths == [(12, True), (2, True), (1, True), (1, True)]
+    assert got == outcome(gen_class_oracle, spec, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(d=6, n_per_class=40, t_len=200, perturbation_var=0.3),
+        dict(baseline="uniform", perturbation="uniform-times-fixed-vector", d=3, n_per_class=50),
+        dict(perturbation="most-recent-third", d=15, n_per_class=30, t_len=250,
+             perturbation_var=0.2),
+        dict(baseline="uniform", d=1, n_per_class=30, t_len=100, perturbation_var=1.0),
+        dict(d=4, n_per_class=1, t_len=50, perturbation_var=0.5),
+        dict(d=5, n_per_class=20, t_len=80, noise_var=0.0),
+        dict(d=15, n_per_class=60, t_len=250, noise_var=0.02),
+    ],
+)
+def test_gen_class_matches_oracle(kwargs):
+    spec = spec_for(**kwargs)
+    for seed in range(3):
+        assert outcome(gen_class, spec, np.random.default_rng(seed)) == outcome(
+            gen_class_oracle, spec, np.random.default_rng(seed)
+        )
+
+
+def test_gen_class_that_never_stabilises_raises(batch_widths):
+    spec = spec_for(baseline="uniform", d=3, n_per_class=3, t_len=600, perturbation_var=25.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflowing rows must not warn
+        got = outcome(gen_class, spec, np.random.default_rng(0))
+    assert got == outcome(gen_class_oracle, spec, np.random.default_rng(0))
+    assert got.startswith("|x_")
+    assert len(batch_widths) == 50
+    assert not all(finite for _, finite in batch_widths)  # some rows overflowed to inf or NaN
 
 
 # ---------------------------------------------------------------- benchmark
