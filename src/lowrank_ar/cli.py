@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import platform
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from lowrank_ar import dataio, encoders
 from lowrank_ar.embedding import approx_rank_of, factorize, read_embedding_csv, write_embedding_csv
@@ -183,6 +186,23 @@ def _out_dir(config: dict) -> Path:
 
 def _write_manifest(config: dict, out: Path) -> None:
     dataio.write_json(config, out / "manifest.json")
+
+
+def _environment() -> dict:
+    """The interpreter, numpy and scipy versions and each one's BLAS build.
+
+    numpy's BLAS runs the batched products; scipy's LAPACK factors the
+    ball projection's Gram (nuclear.project_nuc).
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    scipy_blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "scipy_blas": f"{scipy_blas.get('name')} {scipy_blas.get('version')}",
+    }
 
 
 def _metrics_skeleton(**known) -> dict:
@@ -426,6 +446,12 @@ def cmd_embed(config: dict) -> int:
         lam = _parse_lambda(config["lambda"])
         params = problem.solve(lam)
     runtime = time.perf_counter() - start
+    for solved, state in states.items():
+        if state.termination == "diverged":
+            raise SolverError(
+                f"the fit at radius lambda = {solved:.17g} diverged: its loss "
+                f"{state.history[-1].loss:.6g} exceeds that of the zero matrix"
+            )
     if lam > 0 and not np.any(params.data):
         raise SolverError(f"the fit at radius lambda = {lam:.17g} collapsed "
                           "to the zero matrix, which has no embedding")
@@ -440,6 +466,8 @@ def cmd_embed(config: dict) -> int:
     metrics = _metrics_skeleton(
         approx_rank=embedding.approx_rank,
         runtime_seconds=runtime,
+        solves=dict(Counter(st.termination for st in states.values())),
+        environment=_environment(),
         **{"lambda": None if math.isinf(lam) else lam},
     )
     dataio.write_json(metrics, out / "metrics.json")

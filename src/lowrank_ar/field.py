@@ -15,11 +15,10 @@ times the operator's unweighted products. Under the identity link
 For any link, the field vanishes termwise at the generating parameters on
 noiseless data, and monotonicity of eta makes the field monotone.
 
-The loss has one implementation, gram_loss, which ls_loss, EmpiricalField
-and the splitting solver's history all call. It reads the set's normal
-equations G_i = X_i^T X_i, H_i = Y_i^T X_i, cached on first use, and so
-does the identity-link field on a set that is evaluated again (any
-explicit set, or the full-horizon set of an EmpiricalField):
+The loss is gram_loss, which ls_loss and EmpiricalField call. It reads
+the set's normal equations G_i = X_i^T X_i, H_i = Y_i^T X_i, cached on
+first use, and so does the identity-link field on a set that is evaluated
+again (any explicit set, or the full-horizon set of an EmpiricalField):
 
     field = w^2/S * [R_i G_i - H_i]_i
     ls_loss = w^2/S * (sum_i <R_i, R_i G_i - 2 H_i> + sum_i ||Y_i||^2)
@@ -27,6 +26,9 @@ explicit set, or the full-horizon set of an EmpiricalField):
 at O(N C K^2) a call whatever S. The other links' fields, and the field on
 a stochastic-subwindow step draw (read by one solver step only), multiply
 out the design instead.
+
+The splitting solver's iterate lives in the eigenbasis G_i = V_i diag(e_i)
+V_i^T as well, and its history reads the same sum there (eigen_loss).
 
 Each sum is one batched matrix product per call, with a fixed shape for a
 given slice set, so reruns are bitwise reproducible and a reordering of the
@@ -98,6 +100,18 @@ def gram_loss(data: np.ndarray, slices: SliceSet) -> float:
     """ls_loss of the (m, N) parameter data, read from the set's normal equations."""
     rss = slices.normal_equations.residual_sum_of_squares(_rows(data, slices))
     return _scale(slices) * rss
+
+
+def eigen_loss(zv: np.ndarray, evals: np.ndarray, hv: np.ndarray, slices: SliceSet) -> float:
+    """gram_loss of rows R_i given in the eigenbasis of G_i = V_i diag(e_i) V_i^T.
+
+    zv (N, C, K) holds R_i V_i, hv holds H_i V_i and evals (N, K) holds e_i:
+    sum_i <R_i G_i, R_i> = sum e_i * (R_i V_i)^2 and <H_i, R_i> = <H_i V_i,
+    R_i V_i>. Clipped at zero like NormalEquations.residual_sum_of_squares.
+    """
+    quad = float(np.vdot(zv * evals[:, None, :], zv))
+    rss = quad - 2.0 * float(np.vdot(hv, zv)) + slices.normal_equations.yty
+    return _scale(slices) * max(rss, 0.0)
 
 
 def _set_field(data: np.ndarray, link: LinkFunction, slices: SliceSet) -> np.ndarray:

@@ -20,12 +20,12 @@ data where a single step size has to serve sequences of wildly different
 magnitudes. It factors the per-sequence normal equations and fits OLS once
 per slice set (SliceSet.gram_eigen and SliceSet.ols), so every solve
 of a radius search or sweep after the first reuses them, and it iterates in
-the (N, m) layout, one row per sequence, with batched matrix products and
-one ball projection (nuclear.project_nuc, one eigh of the iterate's smaller
-Gram matrix) per iteration; its history loss is field.gram_loss, read from
-the cached Gram matrices, so an iteration's cost does not grow with the
-number of slices S. check_method holds its preconditions: the identity
-link and the full-horizon set.
+the (N, m) layout, one row per sequence, with two batched basis changes and
+one ball projection (nuclear.project_nuc, one eigendecomposition of the
+iterate's smaller Gram matrix) per iteration; its history loss is
+field.eigen_loss, read in the cached Grams' eigenbasis, so an iteration's
+cost does not grow with the number of slices S. check_method holds its
+preconditions: the identity link and the full-horizon set.
 
 kappa is never reset downward between iterations. Start kappa0
 low (the default is 1e-6): backtracking only raises it, and the first
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lowrank_ar.field import EmpiricalField, FieldSpec, gram_loss
+from lowrank_ar.field import EmpiricalField, FieldSpec, eigen_loss
 from lowrank_ar.measurement import SliceSet, check_compatible
 from lowrank_ar.model import ParameterMatrix
 from lowrank_ar.nuclear import nuclear_norm, project_nuc, prox_nuc
@@ -113,7 +113,9 @@ class SolverState:
 
     termination is "stop-tol" (field norm under config.stop_tol),
     "converged" (splitting residuals under tolerance), "slack" (the
-    unconstrained fit already lies in the ball) or "iteration-cap".
+    unconstrained fit already lies in the ball), "diverged" (an
+    identity-link mirror solve whose aggregate has a larger loss than the
+    zero matrix, see solve) or "iteration-cap".
     """
 
     t: int
@@ -222,7 +224,14 @@ def check_method(config: SolverConfig, spec: FieldSpec) -> None:
 
 
 def solve(evaluator: EmpiricalField, config: SolverConfig):
-    """Dispatch on config.mode; returns (ParameterMatrix, SolverState)."""
+    """Dispatch on config.mode; returns (ParameterMatrix, SolverState).
+
+    The zero matrix lies in every ball, so an identity-link mirror solve
+    whose aggregate has a larger loss than the zero matrix did worse than
+    the trivial fit: its termination is "diverged". Both losses are read
+    by evaluator.loss, on the fixed loss set in stochastic mode. Other
+    links wait for a loss that is their field's potential.
+    """
     check_method(config, evaluator.spec)
     if config.mode == "admm-ls":
         return constrained_least_squares(
@@ -235,6 +244,9 @@ def solve(evaluator: EmpiricalField, config: SolverConfig):
     method = mirror_descent if config.mode == "mirror-descent" else mirror_prox_backtracking
     shape = (evaluator.param_rows, evaluator.n_sequences)
     aggregate, state = method(evaluator.field, shape, config, loss_fn=evaluator.loss)
+    identity = evaluator.spec.link.variant == "identity"
+    if identity and state.history[-1].loss > evaluator.loss(np.zeros(shape)):
+        state.termination = "diverged"
     return ParameterMatrix(aggregate, evaluator.channel_count, evaluator.spec.order), state
 
 
@@ -267,10 +279,14 @@ def constrained_least_squares(
     SliceSet.gram_eigen: G_i = V_i diag(e_i) V_i^T), so a radius search or
     sweep on one set pays for them once, and the penalty weight rho can be
     rebalanced for free. The iteration runs in the (N, m) layout, one row
-    per sequence: the ridge step is two batched products against V_i, the
-    projection is project_nuc of the (N, m) matrix, which factors only its
-    smaller Gram, and the history's loss of Z is gram_loss, read from the
-    cached Grams, so no step of an iteration grows with the number of
+    per sequence, and keeps Z and U in G_i's eigenbasis as well (R_i V_i):
+    there the ridge step is elementwise, so an iteration makes one batched
+    product against V_i^T, taking the ridge solution out of the eigenbasis
+    before the projection, and one against V_i, taking the projected Z into
+    it; the dual is updated in both bases and rescaled in both with rho.
+    The projection is project_nuc of the (N, m) matrix, which factors only
+    its smaller Gram, and the history's loss of Z is eigen_loss, read in
+    the eigenbasis, so no step of an iteration grows with the number of
     slices S. Z is transposed back to (m, N) at the end. Deterministic; no
     randomness anywhere. Returns (ParameterMatrix, SolverState); the
     history logs the loss of Z, the primal residual in the field_norm
@@ -295,7 +311,8 @@ def constrained_least_squares(
         return unconstrained, SolverState(t=0, history=[], termination="slack")
 
     evals, evecs = slices.gram_eigen
-    evecs_t = evecs.transpose(0, 2, 1)
+    # V_i^T, made contiguous: the batched product runs faster on it
+    evecs_t = np.ascontiguousarray(evecs.transpose(0, 2, 1))
     xty_v = slices.normal_equations.xty @ evecs  # H_i V_i, fixed for the whole solve
 
     def norm(a: np.ndarray) -> float:
@@ -308,24 +325,31 @@ def constrained_least_squares(
     m = c * c * order + c
     z = np.zeros((n, m))  # row i is vec(R_i): the transpose of B
     u = np.zeros((n, m))
+    zv = np.zeros((n, c, m // c))  # R_i V_i: Z's rows in G_i's eigenbasis
+    uv = np.zeros_like(zv)  # U's rows in the same basis
+    bv = np.empty_like(zv)
     history: list[HistoryRecord] = []
     termination = "iteration-cap"
     for iteration in range(1, max_iters + 1):
         # ridge step (G_i + rho/2) b_i = h_i + rho/2 (z_i - u_i) in the eigenbasis
-        tmp = (z - u).reshape(n, c, -1) @ evecs
-        tmp *= rho / 2.0
-        tmp += xty_v
-        tmp /= evals[:, None, :] + rho / 2.0
-        b = (tmp @ evecs_t).reshape(n, m)
+        np.subtract(zv, uv, out=bv)
+        bv *= rho / 2.0
+        bv += xty_v
+        bv /= evals[:, None, :] + rho / 2.0
+        b = (bv @ evecs_t).reshape(n, m)
         z_prev = z
-        z = project_nuc(b + u, radius)
-        u = u + b - z
+        u += b  # b + u, then the dual update u + b - z
+        z = project_nuc(u, radius)
+        u -= z
+        np.matmul(z.reshape(n, c, -1), evecs, out=zv)
+        bv -= zv  # the same update in the eigenbasis
+        uv += bv
         primal = norm(b - z)
         dual = rho * norm(z - z_prev)
         history.append(
             HistoryRecord(
-                iteration=iteration, loss=gram_loss(z.T, slices), field_norm=primal,
-                kappa=rho, gamma=1.0 / rho, backtracks=0,
+                iteration=iteration, loss=eigen_loss(zv, evals, xty_v, slices),
+                field_norm=primal, kappa=rho, gamma=1.0 / rho, backtracks=0,
             )
         )
         ref = max(norm(b), norm(z), 1e-30)
@@ -335,8 +359,10 @@ def constrained_least_squares(
         if primal > 10.0 * dual:
             rho *= 2.0
             u /= 2.0
+            uv /= 2.0
         elif dual > 10.0 * primal:
             rho /= 2.0
             u *= 2.0
+            uv *= 2.0
     params = ParameterMatrix(_finite_or_raise(z.T, "splitting iterate"), c, order)
     return params, SolverState(t=iteration, history=history, termination=termination)

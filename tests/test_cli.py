@@ -160,8 +160,11 @@ def test_embed_outputs_and_manifest(tmp_path, synth_dir):
     assert manifest["mode"] == "mirror-prox-backtracking"
     assert manifest["lambda"] == "inf"
     metrics = read_json(out / "metrics.json")
-    assert set(metrics) == set(cli._METRIC_KEYS)
+    assert set(metrics) == set(cli._METRIC_KEYS) | {"solves", "environment"}
     assert metrics["lambda"] is None  # inf is not representable in JSON
+    assert metrics["solves"] == {"iteration-cap": 1}
+    assert set(metrics["environment"]) == {"python", "numpy", "scipy", "blas", "scipy_blas"}
+    assert metrics["environment"]["numpy"] == np.__version__
     assert metrics["approx_rank"] >= 1
     header = (out / "embeddings.csv").read_text().splitlines()[0]
     assert header.startswith("id,label,dim_1")
@@ -173,6 +176,25 @@ def test_embed_rerun_is_byte_identical(tmp_path, synth_dir):
     assert rc_a == rc_b == 0
     assert (out_a / "embeddings.csv").read_bytes() == (out_b / "embeddings.csv").read_bytes()
     assert (out_a / "history.csv").read_bytes() == (out_b / "history.csv").read_bytes()
+
+
+def test_embed_reruns_differ_only_in_runtime(tmp_path, synth_dir):
+    search = {"strategy": "grid", "objective": "train-metric", "n_points": 4}
+    outputs = []
+    for _ in range(2):  # the same config and output directory: the manifest names it
+        rc, out = run_embed(tmp_path, synth_dir, iters=16, search=search)
+        assert rc == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    first, second = outputs
+    assert sorted(first) == sorted(second)
+    assert "search.csv" in first
+    metrics_a = json.loads(first.pop("metrics.json"))
+    metrics_b = json.loads(second.pop("metrics.json"))
+    assert first == second
+    assert metrics_a.pop("runtime_seconds") > 0
+    metrics_b.pop("runtime_seconds")
+    assert metrics_a == metrics_b
+    assert sum(metrics_a["solves"].values()) == 5  # inf and the grid's four radii
 
 
 def test_embed_admm_mode(tmp_path, synth_dir):
@@ -291,6 +313,18 @@ def long_synth_dir(tmp_path_factory):
     write_json({"n_classes": 2, "d": 3, "t_len": 100, "n_per_class": 4, "seed": 0}, cfg)
     assert run(["synth", "--config", cfg, "--out", root / "data"]) == 0
     return root / "data"
+
+
+def test_embed_exits_3_on_a_fit_worse_than_the_zero_matrix(tmp_path, long_synth_dir, capsys):
+    # kappa0 = 1 is far below this data's scale: mirror descent's steps grow
+    # the aggregate's loss to about 1e175, where the zero matrix scores 72
+    cfg = tmp_path / "cfg.json"
+    write_json({"input": str(long_synth_dir / "dataset.csv"), "d": 3, "mode": "mirror-descent",
+                "kappa0": 1.0, "window_g": 40}, cfg)
+    assert run(["embed", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert "the fit at radius lambda = inf diverged" in err
+    assert not (tmp_path / "out" / "embeddings.csv").exists()
 
 
 @pytest.mark.parametrize(

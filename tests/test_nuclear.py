@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import optimize
 
+from lowrank_ar import nuclear
 from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm, project_nuc, prox_nuc
 
 
@@ -43,6 +44,25 @@ def test_capped_simplex_matches_root_oracle(rng):
         ours = capped_simplex_project(s, radius)
         oracle = project_via_root(s, radius)
         assert np.max(np.abs(ours - oracle)) <= 1e-10
+
+
+def test_sorted_kernel_matches_capped_simplex_on_shuffled_input(rng):
+    # the projection runs the kernel on eigh's ascending sigma; outside
+    # callers pass any order and are sorted first: the same bits either way
+    for _ in range(300):
+        r = int(rng.integers(1, 20))
+        ascending = np.sort(rng.exponential(size=r) * 10.0 ** rng.integers(-3, 4))
+        if r > 2 and rng.random() < 0.3:
+            ascending[1] = ascending[0]  # a tie
+        radius = float(rng.uniform(0.01, 1.2)) * float(ascending.sum())
+        perm = rng.permutation(r)
+        ours = capped_simplex_project(ascending[perm], radius)
+        if ascending.sum() <= radius:
+            assert np.array_equal(ours, ascending[perm])
+            continue
+        floor, share = nuclear._cap_sorted(ascending[::-1], radius)
+        kept = np.where(ascending >= floor, (ascending - floor) + share, 0.0)
+        assert np.array_equal(ours, kept[perm])
 
 
 def test_capped_simplex_slack_copy(rng):
@@ -217,6 +237,31 @@ def test_project_nuc_falls_back_to_the_svd_near_the_rounding_floor(rng, svd_call
         ours = project_nuc(big, radius)
     assert svd_calls == [(4, 6)]
     assert np.linalg.norm(ours / 1e160 - svd_oracle(big, radius) / 1e160) <= 1e-12 * np.linalg.norm(big / 1e160)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_project_nuc_takes_the_svd_on_a_non_finite_gram(rng, svd_calls, bad):
+    M = rng.standard_normal((4, 6))
+    M[1, 2] = bad
+    # the SVD path fails loudly on such input, as it always has
+    with pytest.raises((ValueError, np.linalg.LinAlgError)):
+        project_nuc(M, 1.0)
+    assert svd_calls == [(4, 6)]
+
+
+def test_project_nuc_takes_the_svd_when_the_eigensolver_fails(rng, svd_calls, monkeypatch):
+    real = nuclear.dsyevd
+
+    def failing(a, **kwargs):
+        w, v, _ = real(a, **kwargs)
+        return w, v, 1
+
+    monkeypatch.setattr(nuclear, "dsyevd", failing)
+    M = rng.standard_normal((6, 4))
+    radius = 0.5 * float(np.linalg.norm(M, "nuc"))  # "nuc" does not go through np.linalg.svd
+    ours = project_nuc(M, radius)
+    assert svd_calls == [(6, 4)]
+    assert np.linalg.norm(ours - svd_oracle(M, radius)) <= 1e-12 * np.linalg.norm(M)
 
 
 def test_project_nuc_at_infinite_radius_returns_its_input(rng):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import lowrank_ar.field as field_module
+import lowrank_ar.solver as solver_module
 from lowrank_ar.dataio import write_history_csv
-from lowrank_ar.field import EmpiricalField, FieldSpec, ls_loss
+from lowrank_ar.field import EmpiricalField, FieldSpec, gram_loss, ls_loss
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
-from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm
+from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm, project_nuc
 from lowrank_ar.solver import (
     ADMM_MAX_ITERS,
     MIRROR_MAX_ITERS,
@@ -200,6 +201,25 @@ def test_splitting_solver_matches_einsum_oracle(problem, share):
     assert state.termination == termination
     assert [rec.kappa for rec in state.history] == rhos
     assert np.linalg.norm(params.data - z) <= 1e-10 * np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("share", [0.1, 0.9])
+def test_splitting_history_loss_is_gram_loss_of_each_iterate(problem, monkeypatch, share):
+    # the history reads the loss in the Grams' eigenbasis; gram_loss reads the
+    # Grams themselves: the two agree to rounding of w^2/S * sum ||Y_i||^2
+    ev, _, upper, _ = problem
+    iterates = []
+
+    def recording(M, radius):
+        iterates.append(project_nuc(M, radius))
+        return iterates[-1]
+
+    monkeypatch.setattr(solver_module, "project_nuc", recording)
+    _, state = constrained_least_squares(ev.slices, 1, D, share * upper)
+    assert len(iterates) == state.t > 10
+    floor = gram_loss(np.zeros((D + 1, 3)), ev.slices)  # w^2/S * sum ||Y_i||^2
+    for rec, z in zip(state.history, iterates):
+        assert abs(rec.loss - gram_loss(z.T, ev.slices)) <= 16 * np.finfo(float).eps * floor
 
 
 def test_ols_is_bitwise_per_sequence_lstsq(problem):
