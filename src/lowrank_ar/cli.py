@@ -409,6 +409,16 @@ def _radius_path(collection: SequenceCollection, config: dict):
     return evaluator, problem, states
 
 
+def _raise_if_diverged(states: dict) -> None:
+    """SolverError naming the first solved radius whose fit diverged."""
+    for solved, state in states.items():
+        if state.termination == "diverged":
+            raise SolverError(
+                f"the fit at radius lambda = {solved:.17g} diverged: its loss "
+                f"{state.history[-1].loss:.6g} exceeds that of the zero matrix"
+            )
+
+
 def _write_search_csv(result, states: dict, path: Path) -> None:
     """One row per radius the search scored, in order, with how its solve ended.
 
@@ -446,12 +456,7 @@ def cmd_embed(config: dict) -> int:
         lam = _parse_lambda(config["lambda"])
         params = problem.solve(lam)
     runtime = time.perf_counter() - start
-    for solved, state in states.items():
-        if state.termination == "diverged":
-            raise SolverError(
-                f"the fit at radius lambda = {solved:.17g} diverged: its loss "
-                f"{state.history[-1].loss:.6g} exceeds that of the zero matrix"
-            )
+    _raise_if_diverged(states)
     if lam > 0 and not np.any(params.data):
         raise SolverError(f"the fit at radius lambda = {lam:.17g} collapsed "
                           "to the zero matrix, which has no embedding")
@@ -553,7 +558,7 @@ def cmd_eval(config: dict) -> int:
 def cmd_sweep(config: dict) -> int:
     collection, _ = _ingest(config)
     out = _out_dir(config)
-    evaluator, problem, _ = _radius_path(collection, config)
+    evaluator, problem, states = _radius_path(collection, config)
     try:
         lambdas = problem.grid(int(config["n_points"]), config["lower"], config["upper"])
     except (TypeError, ValueError) as exc:
@@ -568,6 +573,7 @@ def cmd_sweep(config: dict) -> int:
         if "train-metric" in problem.objectives:
             row[4] = 0.0 - problem.objective("train-metric", params)  # the ARI
         rows.append(row)
+    _raise_if_diverged(states)
     sweep_path = out / "sweep.csv"
     header = ["lambda", "loss", "reconstruction_error", "approx_rank", "ari"]
     dataio.write_csv(sweep_path, header, rows)

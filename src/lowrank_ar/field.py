@@ -7,8 +7,9 @@ A* = w * measurement.correlations,
     ls_loss(B) = (1/S) * || A(B) - w Y ||^2
     field(B)   = (1/S) * A*(w * (eta(z) - Y)),   z = A(B) / w,
 
-where the link eta acts on each sequence's C channels of z. Both are w^2/S
-times the operator's unweighted products. Under the identity link
+where the link eta acts on the C channels of each slice of z, and Y enters
+in the operator's (N, C, S) layout. Both are w^2/S times the operator's
+unweighted products. Under the identity link
 
     field = (1/2) * grad ls_loss        (exact identity, asserted in tests).
 
@@ -25,7 +26,10 @@ again (any explicit set, or the full-horizon set of an EmpiricalField):
 
 at O(N C K^2) a call whatever S. The other links' fields, and the field on
 a stochastic-subwindow step draw (read by one solver step only), multiply
-out the design instead.
+out the design instead, in one channel-major kernel: the predictions are
+(N, C, S), the link reduces over axis 1 so its inner loops run along the
+contiguous slice axis, and the residual is contracted against the stored
+regressors (N, S, K) directly to (N, C, K).
 
 The splitting solver's iterate lives in the eigenbasis G_i = V_i diag(e_i)
 V_i^T as well, and its history reads the same sum there (eigen_loss).
@@ -92,7 +96,8 @@ def _rows(data: np.ndarray, slices: SliceSet) -> np.ndarray:
 
 
 def _field_data(data: np.ndarray, link: LinkFunction, slices: SliceSet) -> np.ndarray:
-    resid = _link_rows(link, predictions(slices, data)) - slices.observations
+    resid = _link_rows(link, predictions(slices, data), axis=1)  # a new (N, C, S) array
+    resid -= slices.observations.transpose(0, 2, 1)
     return _scale(slices) * correlations(slices, resid)
 
 

@@ -1,17 +1,20 @@
 """The measurement operator of a slice set, its adjoint, and slice construction.
 
 A SliceSet holds S time slices of N sequences: read-only regressors X of
-shape (N, S, K) with K = C*d+1, built once from strided views of the
-sequences, and the raw observations Y (N, S, C). Row s of X_i is the
+shape (N, S, K) with K = C*d+1, built once by copying contiguous runs of a
+time-reversed copy of the sequences, and the raw observations Y (N, S, C). Row s of X_i is the
 regressor window xi_{i,t} of sequence i at slice s, and r_i (C, K) holds
 the rows of R_i, i.e. column i of the parameter matrix B. The operator maps
-B to the weighted predictions of every slice,
+B to the weighted predictions of every slice, channel-major,
 
-    A(B)  = w * predictions(B)  = w * [X_i r_i^T]_i           shape (N, S, C)
-    A*(Y) = w * correlations(Y) = w * [vec(Y_i^T X_i)]_i      shape (m, N)
+    A(B)  = w * predictions(B)  = w * [r_i X_i^T]_i           shape (N, C, S)
+    A*(Y) = w * correlations(Y) = w * [vec(Y_i X_i)]_i        shape (m, N)
 
 with w = 1/N, and A* is its exact transpose: <A(B), Y> = <B, A*(Y)> for all
-B, Y. The field multiplies out the design with these unweighted products.
+B and all Y of shape (N, C, S). The field multiplies out the design with
+these unweighted products: a link acts on axis 1 of the predictions, so its
+reductions over the C channels run along the contiguous slice axis, and the
+residual meets X_i as it is, with no transpose.
 
 Indexing or iterating a SliceSet yields MeasurementSlice views of one
 slice, whose target is on the operator scale (already multiplied by w).
@@ -181,20 +184,19 @@ def check_compatible(
 
 
 def predictions(slices: SliceSet, data: np.ndarray) -> np.ndarray:
-    """Unweighted predictions X_i r_i^T of every slice, shape (N, S, C)."""
+    """Unweighted predictions r_i X_i^T of every slice, shape (N, C, S)."""
     n, _, k = slices.regressors.shape
     r = data.T.reshape(n, slices.channel_count, k)
-    return slices.regressors @ r.transpose(0, 2, 1)
+    return r @ slices.regressors.transpose(0, 2, 1)
 
 
 def correlations(slices: SliceSet, y: np.ndarray) -> np.ndarray:
-    """Unweighted [vec(Y_i^T X_i)]_i as an (m, N) array, for Y of shape (N, S, C).
+    """Unweighted [vec(Y_i X_i)]_i as an (m, N) array, for Y of shape (N, C, S).
 
-    Entry (c, k) of Y_i^T X_i lands in the row of vec(R_i) holding R_i[c, k],
+    Entry (c, k) of Y_i X_i lands in the row of vec(R_i) holding R_i[c, k],
     matching the row-major vectorization of ParameterMatrix.
     """
-    prod = y.transpose(0, 2, 1) @ slices.regressors  # (N, C, K)
-    return prod.reshape(slices.n_sequences, -1).T
+    return (y @ slices.regressors).reshape(slices.n_sequences, -1).T
 
 
 # --------------------------------------------------------------------------
@@ -206,14 +208,18 @@ def _slice_set(segments: np.ndarray, d: int) -> SliceSet:
 
     Lag window s holds columns s+d-1 down to s (newest first) and predicts
     column s+d; the channels of one step stay contiguous in the regressor.
+    In a time-reversed, channel-minor copy of the segments each lag window
+    is one contiguous run of d*C values, so both blocks are filled by
+    copying runs.
     """
     n, c, length = segments.shape
-    lags = sliding_window_view(segments[:, :, :-1], d, axis=2)[..., ::-1]  # (N, C, S, d)
+    rev = np.ascontiguousarray(segments[:, :, ::-1].transpose(0, 2, 1))  # (N, L, C)
+    # window j covers reversed steps j .. j+d-1, i.e. the lags of slice L-d-j
+    windows = sliding_window_view(rev.reshape(n, length * c), d * c, axis=1)[:, ::c]
     regs = np.empty((n, length - d, c * d + 1))
     regs[:, :, 0] = 1.0
-    # splitting the contiguous last axis is a view: the lags are copied once
-    regs[:, :, 1:].reshape(n, length - d, d, c)[...] = lags.transpose(0, 2, 3, 1)
-    obs = np.ascontiguousarray(segments[:, :, d:].transpose(0, 2, 1))
+    regs[:, :, 1:] = windows[:, :0:-1]
+    obs = np.ascontiguousarray(rev[:, length - d - 1 :: -1])
     return SliceSet(regs, obs, d)
 
 

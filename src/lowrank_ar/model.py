@@ -161,15 +161,21 @@ class LinkFunction:
             raise ValueError(f"variant must be one of {_LINK_VARIANTS}, got {self.variant!r}")
 
 
-def _link_rows(link: LinkFunction, z: np.ndarray) -> np.ndarray:
-    """Apply the link along the last axis of z (one block per row)."""
+def _link_rows(link: LinkFunction, z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Apply the link to z, whose blocks of C channels lie along `axis`.
+
+    The elementwise links ignore the axis. The softmax subtracts each
+    block's maximum before exponentiating, and reduces along `axis`: the
+    field passes axis 1 of its (N, C, S) predictions, so the max and sum over
+    the C channels run along the contiguous slice axis.
+    """
     if link.variant == "identity":
         return z
     if link.variant == "exponential":
         return np.exp(np.clip(z, -LINK_CLAMP, LINK_CLAMP))
     if link.variant == "logistic":
         return 1.0 / (1.0 + np.exp(-np.clip(z, -LINK_CLAMP, LINK_CLAMP)))
-    # softmax with max-subtraction per block
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e

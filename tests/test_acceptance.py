@@ -102,7 +102,7 @@ def test_criterion_02_adjoint_identity(report):
                     params = ParameterMatrix(
                         gen.standard_normal((c * c * d + c, n)), c, d
                     )
-                    y = gen.standard_normal((n, len(slices), c))
+                    y = gen.standard_normal((n, c, len(slices)))
                     # A = w * predictions, A* = w * correlations
                     lhs = float(np.vdot(slices.weight * predictions(slices, params.data), y))
                     rhs = float(np.vdot(params.data, slices.weight * correlations(slices, y)))

@@ -327,6 +327,18 @@ def test_embed_exits_3_on_a_fit_worse_than_the_zero_matrix(tmp_path, long_synth_
     assert not (tmp_path / "out" / "embeddings.csv").exists()
 
 
+def test_sweep_exits_3_on_a_diverged_path(tmp_path, long_synth_dir, capsys):
+    # the embed test's settings: the diverged lambda = inf fit sets the grid's
+    # upper end, so the grid itself is meaningless
+    cfg = tmp_path / "cfg.json"
+    write_json({"input": str(long_synth_dir / "dataset.csv"), "d": 3, "mode": "mirror-descent",
+                "kappa0": 1.0, "window_g": 40, "n_points": 3}, cfg)
+    assert run(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert "the fit at radius lambda = inf diverged" in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize(
     "mode, extra",
     [("mirror-prox-backtracking", {}), ("mirror-descent", {"kappa0": 100.0, "lambda": 4.0})],

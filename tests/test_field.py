@@ -7,7 +7,7 @@ import pytest
 
 import lowrank_ar.field as field_module
 from lowrank_ar.field import EmpiricalField, FieldSpec, field, ls_loss
-from lowrank_ar.measurement import SliceSet
+from lowrank_ar.measurement import SliceSet, enumerate_slices, sample_subwindow_slices
 from lowrank_ar.model import (
     LinkFunction,
     ParameterMatrix,
@@ -117,6 +117,26 @@ def test_field_matches_adjoint_loop(rng, variant):
     ours = ev.field(params.data)
     oracle = field_oracle(LinkFunction(variant), params, ev.slices)
     assert np.max(np.abs(ours - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("source", ["full-horizon", "window"])
+@pytest.mark.parametrize("c", [1, 3, 9])
+@pytest.mark.parametrize("variant", LINKS)
+def test_field_kernel_matches_oracle(rng, variant, c, source):
+    # C = 9 puts the softmax's channel sums in numpy's pairwise-summation range
+    link = LinkFunction(variant)
+    kind = "probability-simplex" if variant == "softmax" else "real"
+    coll = make_collection(rng, n=3, c=c, t_len=30, kind=kind)
+    if source == "window":
+        slices = sample_subwindow_slices(coll, 2, 12, np.random.default_rng(c))
+    else:
+        slices = enumerate_slices(coll, 2)
+    params = ParameterMatrix(
+        0.3 * rng.standard_normal((c * c * 2 + c, 3)), channel_count=c, order=2
+    )
+    ours = field_module._field_data(params.data, link, slices)
+    oracle = field_oracle(link, params, slices)
+    assert np.max(np.abs(ours - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
 def test_identity_field_is_half_gradient(rng):

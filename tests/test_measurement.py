@@ -5,6 +5,7 @@ import pytest
 
 from lowrank_ar.measurement import (
     SliceSet,
+    _slice_set,
     correlations,
     enumerate_slices,
     predictions,
@@ -37,23 +38,23 @@ def test_forward_matches_per_sequence_loop(rng):
     slices = random_slice_set(rng, n=n, c=c, d=d, s=s)
     params = random_params(rng, n=n, c=c, d=d)
     out = slices.weight * predictions(slices, params.data)
-    assert out.shape == (n, s, c)
+    assert out.shape == (n, c, s)
     for i in range(n):
         for t in range(s):
             expected = slices.weight * params.data[:, i].reshape(c, -1) @ slices.regressors[i, t]
-            assert np.allclose(out[i, t], expected)
+            assert np.allclose(out[i, :, t], expected)
 
 
 def test_adjoint_matches_outer_product_loop(rng):
     n, c, d, s = 3, 2, 2, 4
     slices = random_slice_set(rng, n=n, c=c, d=d, s=s)
-    y = rng.standard_normal((n, s, c))
+    y = rng.standard_normal((n, c, s))
     out = slices.weight * correlations(slices, y)
     assert out.shape == (c * c * d + c, n)
     for i in range(n):
         expected = np.zeros((c, c * d + 1))
         for t in range(s):
-            expected += slices.weight * np.outer(y[i, t], slices.regressors[i, t])
+            expected += slices.weight * np.outer(y[i, :, t], slices.regressors[i, t])
         # column i is laid out like R_i in ParameterMatrix: row-major vec(R_i)
         assert np.allclose(out[:, i].reshape(c, c * d + 1), expected)
 
@@ -62,7 +63,7 @@ def test_adjoint_matches_outer_product_loop(rng):
 def test_adjoint_identity(rng, c, d, n):
     slices = random_slice_set(rng, n=n, c=c, d=d, s=6)
     params = random_params(rng, n=n, c=c, d=d)
-    y = rng.standard_normal((n, 6, c))
+    y = rng.standard_normal((n, c, 6))
     lhs = float(np.vdot(slices.weight * predictions(slices, params.data), y))
     rhs = float(np.vdot(params.data, slices.weight * correlations(slices, y)))
     scale = np.linalg.norm(params.data) * np.linalg.norm(y)
@@ -70,6 +71,46 @@ def test_adjoint_identity(rng, c, d, n):
 
 
 # ---------------------------------------------------------------- slice sets
+
+
+def slice_set_oracle(segments, d):
+    """Regressors and observations of equal-length (N, C, L) segments, one slice at a time."""
+    n, c, length = segments.shape
+    regs = np.empty((n, length - d, c * d + 1))
+    obs = np.empty((n, length - d, c))
+    for i in range(n):
+        for s in range(length - d):
+            regs[i, s, 0] = 1.0
+            for j in range(d):  # lag j + 1, newest first, its channels contiguous
+                regs[i, s, 1 + j * c : 1 + (j + 1) * c] = segments[i, :, s + d - 1 - j]
+            obs[i, s] = segments[i, :, s + d]
+    return regs, obs
+
+
+def test_slice_builder_matches_a_plain_loop(rng):
+    shapes = [(1, 1, 2, 1), (3, 1, 9, 4), (2, 5, 6, 1), (4, 9, 12, 3)]  # (N, C, L, d)
+    for _ in range(30):
+        n, c, d = (int(v) for v in rng.integers(1, 8, size=3))
+        shapes.append((n, c, d + 1 + int(rng.integers(0, 20)), d))
+    for n, c, length, d in shapes:
+        segments = rng.standard_normal((n, c, length))
+        regs, obs = slice_set_oracle(segments, d)
+        slices = _slice_set(segments, d)
+        assert slices.regressors.tobytes() == regs.tobytes()
+        assert slices.observations.tobytes() == obs.tobytes()
+        assert slices.regressors.shape == regs.shape and slices.observations.shape == obs.shape
+
+
+def test_subwindow_slices_match_a_plain_loop(rng):
+    seqs = tuple(rng.standard_normal((3, t_len)) for t_len in (25, 40, 31, 60))
+    coll = SequenceCollection(sequences=seqs, ids=tuple("abcd"))
+    for d, window in [(1, 2), (2, 12), (5, 25)]:
+        drawn = sample_subwindow_slices(coll, d, window, np.random.default_rng(11))
+        starts = np.random.default_rng(11).integers(0, [s.shape[1] - window + 1 for s in seqs])
+        segments = np.stack([seq[:, s : s + window] for seq, s in zip(seqs, starts)])
+        regs, obs = slice_set_oracle(segments, d)
+        assert drawn.regressors.tobytes() == regs.tobytes()
+        assert drawn.observations.tobytes() == obs.tobytes()
 
 
 def test_enumerate_slices_count_and_targets(rng):
