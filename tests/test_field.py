@@ -123,7 +123,7 @@ def test_field_matches_adjoint_loop(rng, variant):
 @pytest.mark.parametrize("c", [1, 3, 9])
 @pytest.mark.parametrize("variant", LINKS)
 def test_field_kernel_matches_oracle(rng, variant, c, source):
-    # C = 9 puts the softmax's channel sums in numpy's pairwise-summation range
+    # at C = 9 the oracle's softmax sums its channels pairwise, the kernel in order
     link = LinkFunction(variant)
     kind = "probability-simplex" if variant == "softmax" else "real"
     coll = make_collection(rng, n=3, c=c, t_len=30, kind=kind)
