@@ -323,11 +323,14 @@ class LambdaProblem:
     upper is the top of every radius bracket, the nuclear norm of the
     unconstrained fit solve(inf). objectives maps objective names to
     functions of a fit returning a finite score where lower is better.
+    states maps each solved radius to its SolverState when solve_fn records
+    them there, as radius_path's does.
     """
 
     solve_fn: object
     objectives: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict, init=False, repr=False)
+    states: dict = field(default_factory=dict, init=False, repr=False)
 
     def solve(self, lambda_: float) -> ParameterMatrix:
         key = float(lambda_)
@@ -365,25 +368,23 @@ class LambdaProblem:
         return value
 
 
-def radius_path(evaluator, config, truth_lag=None, labels=None, seed: int = 0):
-    """(LambdaProblem, states): the fits of one field under one SolverConfig.
+def radius_path(evaluator, config, truth_lag=None, labels=None, seed: int = 0) -> LambdaProblem:
+    """The LambdaProblem of one field's fits under one SolverConfig.
 
-    solve(evaluator, config at radius lam) fits each radius, and states
-    maps each solved radius to its SolverState. The objectives are
-    reconstruction-error, the relative error of a fit's lag_rows against
-    truth_lag, when truth_lag is given, and train-metric, minus the ARI of
-    k-means (one cluster per label, seeded by seed, 4 restarts) on the fit's
-    embedding, when labels are given.
+    solve(evaluator, config at radius lam) fits each radius, and the
+    problem's states map each solved radius to its SolverState. The
+    objectives are reconstruction-error, the relative error of a fit's
+    lag_rows against truth_lag, when truth_lag is given, and train-metric,
+    minus the ARI of k-means (one cluster per label, seeded by seed, 4
+    restarts) on the fit's embedding, when labels are given.
 
     Every radius shares one field. A stochastic field's draws depend only on
     the seed and the solver step, so every radius's solve sees the same
     window draw at each step, and every loss reads the same fixed set,
     whatever order the radii are solved in.
     """
-    states: dict = {}
-
     def solve_fn(lam: float) -> ParameterMatrix:
-        params, states[lam] = solve(evaluator, dataclasses.replace(config, lambda_=lam))
+        params, problem.states[lam] = solve(evaluator, dataclasses.replace(config, lambda_=lam))
         return params
 
     objectives: dict = {}
@@ -398,7 +399,8 @@ def radius_path(evaluator, config, truth_lag=None, labels=None, seed: int = 0):
             return 0.0 - ari(labels, part.assignments)  # +0, not -0, for a zero ARI
 
         objectives["train-metric"] = train_metric
-    return LambdaProblem(solve_fn=solve_fn, objectives=objectives), states
+    problem = LambdaProblem(solve_fn=solve_fn, objectives=objectives)  # solve_fn fills states
+    return problem
 
 
 @dataclass(frozen=True)

@@ -250,11 +250,9 @@ def sample_subwindow_slices(
     _check_order(d)
     if window < d + 1:
         raise ValueError(f"window G={window} must be at least d+1 = {d + 1}")
-    if window > collection.min_length:
-        raise ValueError(
-            f"window G={window} exceeds shortest sequence length {collection.min_length}"
-        )
     lengths = np.array([seq.shape[1] for seq in collection.sequences])
+    if window > lengths.min():
+        raise ValueError(f"window G={window} exceeds shortest sequence length {lengths.min()}")
     starts = rng.integers(0, lengths - window + 1)
     segments = np.stack(
         [seq[:, s : s + window] for seq, s in zip(collection.sequences, starts)]

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -86,6 +87,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.kappa0 > 0:
             raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
+        if not (self.stop_tol is None or isinstance(self.stop_tol, Real) and self.stop_tol > 0):
+            raise ValueError(f"stop_tol must be None or positive, got {self.stop_tol!r}")
         if not self.lambda_ > 0:
             raise ValueError(f"lambda_ must be positive, got {self.lambda_}")
 

@@ -52,7 +52,7 @@ def _radius_path(collection: SequenceCollection, truth: ParameterMatrix) -> Lamb
     """Exact constrained fits of the z-normalized collection, scored on the truth's lags."""
     spec = FieldSpec(LinkFunction("identity"), truth.order)
     evaluator = EmpiricalField(znorm(collection), spec)
-    return radius_path(evaluator, SolverConfig(mode="admm-ls"), truth_lag=truth.lag_rows)[0]
+    return radius_path(evaluator, SolverConfig(mode="admm-ls"), truth_lag=truth.lag_rows)
 
 
 def recovery_run(collection: SequenceCollection, truth: ParameterMatrix) -> RecoveryRun:

@@ -1,9 +1,12 @@
 """End-to-end command line runs through main(argv)."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +22,7 @@ from lowrank_ar.dataio import (
     read_matrix_csv,
     write_collection_csv,
     write_json,
+    write_matrix_csv,
     write_split_csv,
 )
 from lowrank_ar.embedding import read_embedding_csv
@@ -509,9 +513,11 @@ def test_sweep_ari_is_the_train_metric_score(tmp_path, synth_dir):
     write_json(embed_config(synth_dir, n_points=3, iters=16), cfg)
     out = tmp_path / "sweep"
     assert run(["sweep", "--config", cfg, "--out", out]) == 0
-    config = read_json(out / "manifest.json")
+    manifest = read_json(out / "manifest.json")
+    del manifest["command"]
+    config = cli._resolve(cli._SWEEP, manifest, "'sweep' config")
     collection, _ = cli._ingest(config)
-    _, problem, _ = cli._radius_path(collection, config)
+    _, problem = cli._radius_path(collection, config)
     _, rows = read_csv(out / "sweep.csv")
     assert len(rows) == 3
     for row in rows:
@@ -948,3 +954,285 @@ def test_every_csv_has_a_header_crlf_line_ends_and_equal_width_rows(tmp_path, sy
             header, *rows = list(csv.reader(fh))
         assert all(header) and not any(cell[:1].isdigit() for cell in header), path
         assert rows and {len(row) for row in rows} == {len(header)}, path
+
+
+# ---------------------------------------------------------------- the settings tables
+
+
+def run_config(tmp_path, command, config, name="out"):
+    """command under config, writing to tmp_path / name; returns (exit code, stderr)."""
+    cfg = tmp_path / f"{name}.json"
+    write_json(config, cfg)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run([command, "--config", cfg, "--out", tmp_path / name])
+    return rc, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, synth_dir):
+    """One small input of each format, and for each a truth matrix for order 2.
+
+    Returns {format: (input settings, truth path)}. The truth has C^2 d rows
+    at d = 2: C is 1 for the collection, 2 for UCR's value and difference
+    channels, and 4 for nucleotide and Huffman symbols.
+    """
+    root = tmp_path_factory.mktemp("cli_inputs")
+    gen = np.random.default_rng(21)
+
+    def truth(name, channels, ids):
+        path = root / f"{name}_truth.csv"
+        write_matrix_csv(gen.standard_normal((2 * channels * channels, len(ids))), path,
+                         column_names=list(ids))
+        return str(path)
+
+    labels = read_labels_csv(synth_dir / "labels.csv")
+    found = {"collection": ({"path": str(synth_dir / "dataset.csv")},
+                            truth("collection", 1, labels))}
+
+    def ucr_rows(n):
+        return "".join(
+            "\t".join([str(1 + i % 2)]
+                      + [f"{v:.6f}" for v in np.sin(np.linspace(0, 6, 30) + gen.uniform(0, 1))])
+            + "\n" for i in range(n)
+        )
+
+    (root / "TRAIN.tsv").write_text(ucr_rows(6))
+    (root / "TEST.tsv").write_text(ucr_rows(4))
+    found["ucr"] = ({"format": "ucr", "train_path": str(root / "TRAIN.tsv")},
+                    truth("ucr", 2, [f"seq_{i:05d}" for i in range(6)]))
+    records = "".join(f">r{i} fam{i % 2}\n" + "".join(gen.choice(list("ACGU"), size=60)) + "\n"
+                      for i in range(6))
+    (root / "rna.fa").write_text(records)
+    found["fasta"] = ({"format": "fasta", "path": str(root / "rna.fa")},
+                      truth("fasta", 4, [f"r{i}" for i in range(6)]))
+    docs = []
+    for i in range(4):
+        docs.append(root / f"doc{i}.txt")
+        docs[-1].write_text(" ".join(gen.choice(WORDS, size=40)) + ".\n")
+    found["text"] = ({"format": "text", "path": [str(p) for p in docs]},
+                     truth("text", 4, [f"doc{i}" for i in range(4)]))
+    return found
+
+
+MODES = ("mirror-prox-backtracking", "mirror-descent", "admm-ls")
+
+
+def fit_base(inputs, fmt, mode, command):
+    """A config that runs, quickly, on the format's input under the mode."""
+    config = {"input": inputs[fmt][0], "d": 2, "iters": 2, "mode": mode}
+    if fmt == "text":
+        config["cutoff"] = 60  # the documents code to fewer than the default 1000 symbols
+    if mode == "mirror-descent":
+        config["kappa0"] = 100.0  # the default 1e-6 steps far past this data's scale
+    if mode == "admm-ls" and fmt in ("fasta", "text"):
+        config["link"] = "identity"  # admm-ls solves least squares only
+    if command == "sweep":
+        config["n_points"] = 2
+    return config
+
+
+def unread_fit_keys(command, fmt, mode):
+    """The embed or sweep keys that a run on fmt under mode, with no search, never reads."""
+    unread = set()
+    if fmt != "collection":
+        unread.add("encoder")
+    if fmt != "ucr":  # the base config keeps the collection's encoder at none
+        unread.add("normalize")
+    if fmt != "text":
+        unread.add("cutoff")
+    if mode == "admm-ls":
+        unread |= {"kappa0", "stop_tol", "window_g"}
+    return unread
+
+
+def fit_values(inputs, fmt, command):
+    """A valid value other than the default for each embed or sweep key but input and out."""
+    values = {
+        "seed": 1, "encoder": "signal-diff", "normalize": False, "cutoff": 50,
+        "link": "identity", "d": 3, "iters": 3, "kappa0": 1000.0, "stop_tol": 1e-12,
+        "window_g": 12, "truth_path": inputs[fmt][1],
+    }
+    if command == "embed":
+        values.update({"lambda": 2.0, "search": "bisect-to-rank1"})
+    else:
+        values.update({"n_points": 3, "lower": 1e-12, "upper": 100.0})
+    return values
+
+
+def check_cases(tmp_path, command, cases):
+    """Run each (key, config, read) case: exit 0 if read, else exit 2 naming the key."""
+    wrong = []
+    for i, (key, config, read) in enumerate(cases):
+        rc, err = run_config(tmp_path, command, config, name=f"{i}_{key}")
+        if rc != (0 if read else 2) or (rc == 2 and f"'{key}'" not in err):
+            wrong.append((key, config, rc, err.strip()))
+    assert not wrong
+
+
+def check_cell(tmp_path, command, base, values, unread):
+    """Each value over base: exit 0 where read, exit 2 naming the key where not."""
+    check_cases(tmp_path, command,
+                [(key, {**base, key: value}, key not in unread) for key, value in values.items()])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("fmt", ["collection", "ucr", "fasta", "text"])
+@pytest.mark.parametrize("command", ["embed", "sweep"])
+def test_fit_keys_run_where_read_and_exit_2_where_not(tmp_path, inputs, command, fmt, mode):
+    base = fit_base(inputs, fmt, mode, command)
+    assert run_config(tmp_path, command, base, name="base")[0] == 0
+    check_cell(tmp_path, command, base, fit_values(inputs, fmt, command),
+               unread_fit_keys(command, fmt, mode))
+
+
+@pytest.mark.parametrize("fmt", ["collection", "ucr", "fasta", "text"])
+def test_input_keys_run_where_read_and_exit_2_where_not(tmp_path, inputs, synth_dir, fmt):
+    root = Path(inputs["ucr"][0]["train_path"]).parent
+    values = {
+        "path": str(synth_dir / "dataset.csv"),
+        "train_path": str(root / "TRAIN.tsv"),
+        "test_path": str(root / "TEST.tsv"),
+        "labels_path": str(synth_dir / "labels.csv"),
+        "per_line": True,
+        "kind": "probability-simplex",
+    }
+    read = {"collection": {"path", "labels_path", "kind"}, "ucr": {"train_path", "test_path"},
+            "fasta": {"path"}, "text": {"path", "per_line"}}[fmt]
+    base = fit_base(inputs, fmt, "admm-ls", "embed")
+    cases = [(key, {**base, "input": {**base["input"], key: value}}, key in read)
+             for key, value in values.items() if key not in base["input"]]
+    if fmt == "collection":
+        # kind is read on a simplex collection: two channels whose columns sum to one
+        p = np.random.default_rng(2).uniform(0.1, 0.9, (3, 20))
+        collection = SequenceCollection(sequences=[np.stack([row, 1 - row]) for row in p],
+                                        ids=["a", "b", "c"], kind="probability-simplex")
+        write_collection_csv(collection, tmp_path / "simplex.csv")
+        simplex = {"path": str(tmp_path / "simplex.csv"), "kind": "probability-simplex"}
+        cases = [case for case in cases if case[0] != "kind"]
+        cases.append(("kind", {**base, "link": "identity", "input": simplex}, True))
+    check_cases(tmp_path, "embed", cases)
+
+
+def test_search_keys_run_where_read_and_exit_2_where_not(tmp_path, inputs):
+    # train-metric scores the fits against the labels
+    labels = str(Path(inputs["collection"][0]["path"]).parent / "labels.csv")
+    base = {**fit_base(inputs, "collection", "admm-ls", "embed"),
+            "input": {**inputs["collection"][0], "labels_path": labels},
+            "truth_path": inputs["collection"][1]}
+    values = {"objective": "train-metric", "n_points": 3, "tol": 1e-2}
+    read = {"bisect-to-rank1": set(), "grid": {"objective", "n_points"},
+            "brent": {"objective", "tol"}}
+    check_cases(tmp_path, "embed", [
+        (key, {**base, "search": {"strategy": strategy, key: value}}, key in keys)
+        for strategy, keys in read.items() for key, value in values.items()
+    ])
+
+
+@pytest.fixture(scope="module")
+def ucr_embedding(tmp_path_factory, inputs):
+    """An embedding of the UCR input with its test split."""
+    root = tmp_path_factory.mktemp("cli_ucr_embedding")
+    train = Path(inputs["ucr"][0]["train_path"])
+    source = {**inputs["ucr"][0], "test_path": str(train.with_name("TEST.tsv"))}
+    write_json({"input": source, "d": 2, "iters": 8}, root / "cfg.json")
+    assert run(["embed", "--config", root / "cfg.json", "--out", root / "emb"]) == 0
+    return root / "emb"
+
+
+@pytest.mark.parametrize("mode", ["clustering", "classification"])
+def test_eval_keys_run_where_read_and_exit_2_where_not(tmp_path, ucr_embedding, mode):
+    base = {"embeddings_path": str(ucr_embedding / "embeddings.csv"), "mode": mode}
+    if mode == "classification":
+        base["split_path"] = str(ucr_embedding / "split.csv")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,label\n" + "".join(f"seq_{i:05d},{i % 2}\n" for i in range(10)))
+    values = {"seed": 1, "labels_path": str(labels), "knn_k": 1, "k": 2, "restarts": 3,
+              "lambda": 2.0, "split_path": str(ucr_embedding / "split.csv")}
+    unread = {"clustering": {"split_path", "knn_k"}, "classification": {"k", "restarts"}}[mode]
+    check_cell(tmp_path, "eval", base, values, unread)
+
+
+@pytest.mark.parametrize("classes", [False, True])
+def test_synth_keys_run_where_read_and_exit_2_where_not(tmp_path, classes):
+    base = {"d": 2, "t_len": 20, "n_per_class": 2}
+    if classes:
+        base["classes"] = [{"baseline": "uniform", "perturbation": "gaussian"}]
+    values = {"seed": 1, "n_classes": 2, "d": 3, "t_len": 25, "n_per_class": 3,
+              "noise_var": 0.01, "gamma_decay": 0.8, "perturbation_var": 0.01,
+              "classes": [{"baseline": "exp-decay", "perturbation": "gaussian"}]}
+    check_cell(tmp_path, "synth", base, values, {"n_classes"} if classes else set())
+
+
+@pytest.mark.parametrize(
+    "command, settings, key",
+    [
+        ("embed", {"mode": "mirror-descent", "stop_tol": "x"}, "stop_tol"),
+        ("embed", {"window_g": 12, "seed": 1.5}, "seed"),
+        ("synth", {"seed": 1.5}, "seed"),
+        ("synth", {"n_per_class": 2.5}, "n_per_class"),
+        ("embed", {"input": {"path": 5}}, "path"),
+        ("embed", {"input": {"path": ["dataset.csv"]}}, "path"),
+        ("embed", {"truth_path": 5}, "truth_path"),
+        ("embed", {"d": 2.5}, "d"),
+        ("synth", {"d": 2.5}, "d"),
+        ("embed", {"window_g": 10.7}, "window_g"),
+        ("synth", {"n_classes": 1.9}, "n_classes"),
+        ("sweep", {"n_points": 2.9}, "n_points"),
+        ("eval", {"k": 2.5}, "k"),
+        ("embed", {"mode": "admm-ls", "kappa0": 1.0}, "kappa0"),
+        ("embed", {"mode": "admm-ls", "stop_tol": 1e-3}, "stop_tol"),
+        ("embed", {"normalize": False}, "normalize"),
+        ("embed", {"cutoff": 300}, "cutoff"),
+        ("embed", {"search": "brent", "lambda": 2.0}, "lambda"),
+        ("eval", {"knn_k": 1}, "knn_k"),
+        ("eval", {"split_path": "split.csv"}, "split_path"),
+    ],
+)
+def test_mistyped_or_unread_settings_exit_2_naming_the_key(tmp_path, synth_dir, command,
+                                                            settings, key):
+    # each exits while its config resolves, before any file is read
+    base = {"synth": {"d": 2, "t_len": 20, "n_per_class": 2},
+            "eval": {"embeddings_path": "embeddings.csv"}}.get(command, embed_config(synth_dir))
+    rc, err = run_config(tmp_path, command, {**base, **settings})
+    assert rc == 2
+    assert f"'{key}'" in err and "Traceback" not in err
+
+
+def test_each_command_has_the_flags_of_its_table(capsys):
+    for command, (_, table) in cli._COMMANDS.items():
+        assert run([command, "--help"]) == 0
+        shown = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+        flags = {f"--{key.replace('_', '-')}" for key, s in table.items() if s.flag is not None}
+        assert shown == {"-h", "--help", "--config"} | flags, command
+    assert run(["synth", "--help"]) == 0
+    assert "--window-g" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["ucr", "text", "fasta", "admm-ls", "synth", "eval"])
+def test_manifest_replays_to_byte_identical_outputs(tmp_path, inputs, ucr_embedding, case):
+    if case == "synth":
+        command, config = "synth", {"n_classes": 2, "d": 2, "t_len": 20, "n_per_class": 2}
+    elif case == "eval":
+        command, config = "eval", {"embeddings_path": str(ucr_embedding / "embeddings.csv"),
+                                   "split_path": str(ucr_embedding / "split.csv"),
+                                   "mode": "classification"}
+    elif case == "admm-ls":
+        command, config = "embed", {**fit_base(inputs, "collection", "admm-ls", "embed"),
+                                    "lambda": 2.0, "iters": None}
+    else:
+        command, config = "embed", fit_base(inputs, case, "mirror-prox-backtracking", "embed")
+    rc, _ = run_config(tmp_path, command, config, name="first")
+    assert rc == 0
+    first = tmp_path / "first"
+    assert run([command, "--config", first / "manifest.json", "--out", tmp_path / "replay"]) == 0
+    replay = tmp_path / "replay"
+    assert sorted(p.name for p in first.iterdir()) == sorted(p.name for p in replay.iterdir())
+    for path in first.iterdir():
+        if path.name in ("metrics.json", "manifest.json"):
+            a, b = read_json(path), read_json(replay / path.name)
+            for key in ("runtime_seconds", "out"):
+                a.pop(key, None), b.pop(key, None)
+            assert a == b, path.name
+        else:
+            assert path.read_bytes() == (replay / path.name).read_bytes(), path.name

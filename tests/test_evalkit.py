@@ -393,9 +393,10 @@ def test_search_validation():
 def test_radius_path_solves_under_its_config_and_keeps_each_state(rng):
     ev = make_evaluator(rng, n=6, d=2)
     truth_lag = rng.standard_normal((2, 6))
-    problem, states = radius_path(
+    problem = radius_path(
         ev, SolverConfig(mode="admm-ls"), truth_lag=truth_lag, labels=[0, 0, 0, 1, 1, 1]
     )
+    states = problem.states
     assert set(problem.objectives) == {"reconstruction-error", "train-metric"}
     lam = 0.5 * problem.upper
     fit = problem.solve(lam)
@@ -407,7 +408,7 @@ def test_radius_path_solves_under_its_config_and_keeps_each_state(rng):
         truth_lag, fit.data[1:]
     )
     assert -1.0 <= problem.objective("train-metric", fit) <= 1.0
-    assert radius_path(ev, SolverConfig(mode="admm-ls"))[0].objectives == {}
+    assert radius_path(ev, SolverConfig(mode="admm-ls")).objectives == {}
 
 
 def test_objective_lookup_and_finiteness():

@@ -133,6 +133,10 @@ def einsum_admm_oracle(slices, order, radius, max_iters=4000):
         {"lambda_": math.nan},
         {"kappa0": math.nan},
         {"lambda_": -math.inf},
+        {"stop_tol": 0.0},
+        {"stop_tol": -1e-3},
+        {"stop_tol": math.nan},
+        {"stop_tol": "x"},
     ],
 )
 def test_config_validation(kwargs):
