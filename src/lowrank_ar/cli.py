@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import math
 import platform
+import resource
 import sys
 import time
 from collections import Counter
@@ -309,6 +310,11 @@ def _environment() -> dict:
     }
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident memory so far, in MB (ru_maxrss is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _metrics_skeleton(**known) -> dict:
     return {**dict.fromkeys(_METRIC_KEYS), **known}
 
@@ -438,6 +444,10 @@ def _load_truth(config: dict, collection: SequenceCollection) -> np.ndarray | No
     names, lag_rows = _read(dataio.read_matrix_csv, config["truth_path"])
     if list(names) != list(collection.ids):
         raise ConfigError("truth matrix columns do not match collection ids")
+    expected = collection.channel_count**2 * config["d"]
+    if lag_rows.shape[0] != expected:
+        raise ConfigError(f"'truth_path' {config['truth_path']!r} holds {lag_rows.shape[0]} "
+                          f"rows, not the C^2 d = {expected} lag rows of this fit")
     return lag_rows
 
 
@@ -531,6 +541,7 @@ def cmd_embed(config: dict) -> None:
     metrics = _metrics_skeleton(
         approx_rank=embedding.approx_rank,
         runtime_seconds=runtime,
+        peak_rss_mb=_peak_rss_mb(),
         solves=dict(Counter(st.termination for st in problem.states.values())),
         environment=_environment(),
         **{"lambda": None if math.isinf(lam) else lam},  # JSON has no inf
@@ -546,8 +557,12 @@ def cmd_embed(config: dict) -> None:
 
 
 def _load_embeddings(config: dict):
+    """ids, labels and coordinates; labels_path is read only when the embeddings carry none."""
     ids, labels, coords = _read(read_embedding_csv, config["embeddings_path"])
-    if labels is None and config["labels_path"] is not None:
+    if config["labels_path"] is not None:
+        if labels is not None:
+            raise ConfigError(f"'eval' config key 'labels_path' = {config['labels_path']!r} is "
+                              f"not read by this run: {config['embeddings_path']!r} carries labels")
         by_id = _read(dataio.read_labels_csv, config["labels_path"])
         try:
             labels = [by_id[i] for i in ids]

@@ -24,12 +24,14 @@ again (any explicit set, or the full-horizon set of an EmpiricalField):
     field = w^2/S * [R_i G_i - H_i]_i
     ls_loss = w^2/S * (sum_i <R_i, R_i G_i - 2 H_i> + sum_i ||Y_i||^2)
 
-at O(N C K^2) a call whatever S. The other links' fields, and the field on
-a stochastic-subwindow step draw (read by one solver step only), multiply
-out the design instead, in one channel-major kernel: the predictions are
-(N, C, S), the link reduces over axis 1 so its inner loops run along the
-contiguous slice axis, and the residual is contracted against the stored
-regressors (N, S, K) directly to (N, C, K).
+at O(N C K^2) a call whatever S; the set builds its normal equations one
+chunk of sequences at a time, so these paths never hold the lag design X.
+The other links' fields, and the field on a stochastic-subwindow step draw
+(read by one solver step only), multiply out the design instead, in one
+channel-major kernel: the predictions are (N, C, S), the link reduces over
+axis 1 so its inner loops run along the contiguous slice axis, and the
+residual is contracted against X (N, S, K) directly to (N, C, K). They are
+the only paths that build the whole design, once per set (SliceSet.regressors).
 
 The splitting solver's iterate lives in the eigenbasis G_i = V_i diag(e_i)
 V_i^T as well, and its history reads the same sum there (eigen_loss).
@@ -97,7 +99,7 @@ def _rows(data: np.ndarray, slices: SliceSet) -> np.ndarray:
 
 def _field_data(data: np.ndarray, link: LinkFunction, slices: SliceSet) -> np.ndarray:
     resid = _link_rows(link, predictions(slices, data), axis=1)  # a new (N, C, S) array
-    resid -= slices.observations.transpose(0, 2, 1)
+    resid -= slices.segments[:, :, slices.order :]  # Y in the (N, C, S) layout
     return _scale(slices) * correlations(slices, resid)
 
 

@@ -1,11 +1,13 @@
 """The measurement operator of a slice set, its adjoint, and slice construction.
 
-A SliceSet holds S time slices of N sequences: read-only regressors X of
-shape (N, S, K) with K = C*d+1, built once by copying contiguous runs of a
-time-reversed copy of the sequences, and the raw observations Y (N, S, C). Row s of X_i is the
-regressor window xi_{i,t} of sequence i at slice s, and r_i (C, K) holds
-the rows of R_i, i.e. column i of the parameter matrix B. The operator maps
-B to the weighted predictions of every slice, channel-major,
+A SliceSet holds the equal-length segments (N, C, L) of N sequences and the
+AR order d: S = L - d time slices, slice s predicting column s+d of each
+segment from the d columns before it. Its lag design X of shape (N, S, K),
+K = C*d+1, is not stored: row s of X_i is the regressor window xi_{i,t} of
+sequence i at slice s (a leading one, then the lags newest first), the
+observations Y (N, S, C) are the predicted columns, and r_i (C, K) holds the
+rows of R_i, i.e. column i of the parameter matrix B. The operator maps B
+to the weighted predictions of every slice, channel-major,
 
     A(B)  = w * predictions(B)  = w * [r_i X_i^T]_i           shape (N, C, S)
     A*(Y) = w * correlations(Y) = w * [vec(Y_i X_i)]_i        shape (m, N)
@@ -16,13 +18,16 @@ these unweighted products: a link acts on axis 1 of the predictions, so its
 reductions over the C channels run along the contiguous slice axis, and the
 residual meets X_i as it is, with no transpose.
 
-Indexing or iterating a SliceSet yields MeasurementSlice views of one
-slice, whose target is on the operator scale (already multiplied by w).
+A SliceSet caches what its readers share, each built on first use only and
+read-only afterwards, so building a set (or drawing a stochastic window
+set) pays for none of them:
 
-A SliceSet also caches what every least-squares fit on it shares, built on
-first use only, so building a set (or drawing a stochastic window set) pays
-nothing for it, and read-only afterwards:
-
+* regressors: the whole design X, built by copying contiguous runs of a
+  time-reversed copy of the segments (_design). Only predictions and
+  correlations read it, that is the non-identity fields and the field on a
+  stochastic-subwindow step draw, and the MeasurementSlice views that
+  indexing or iterating a set yields (their target is on the operator
+  scale, already multiplied by w);
 * normal_equations: the per-sequence Grams G_i = X_i^T X_i (N, K, K), the
   cross-moments H_i = Y_i^T X_i (N, C, K) and sum_i ||Y_i||^2, which the
   loss, the identity-link field and the ADMM solver read;
@@ -30,8 +35,10 @@ nothing for it, and read-only afterwards:
 * ols: the per-sequence ordinary least-squares fit, one lstsq per
   sequence, as an (m, N) array in the layout of ParameterMatrix.
 
-A radius search or sweep over one set therefore factors its normal
-equations and fits OLS once, however many radii it solves at.
+normal_equations and ols build the design of one chunk of sequences at a
+time, about _CHUNK_VALUES values, and drop it, so an identity-link fit never
+holds the whole design. A radius search or sweep over one set factors its
+normal equations and fits OLS once, however many radii it solves at.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from lowrank_ar.model import SequenceCollection
+
+# values of lag design (float64, about 1 MB) that a least-squares cache builds at once
+_CHUNK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -91,65 +101,81 @@ class NormalEquations:
 
 @dataclass(frozen=True)
 class SliceSet:
-    """Every slice of one design: regressors (N, S, K), observations (N, S, C).
+    """The S = L - d slices of equal-length segments (N, C, L) at order d.
 
-    Observations are raw (not weighted); the weight is 1/N. len() is the
-    slice count S, and set[s] is slice s as a MeasurementSlice.
+    The weight is 1/N. len() is the slice count S, and set[s] is slice s as
+    a MeasurementSlice.
     """
 
-    regressors: np.ndarray
-    observations: np.ndarray
+    segments: np.ndarray
     order: int
 
     def __post_init__(self):
-        reg, obs = _read_only(self.regressors), _read_only(self.observations)
-        if reg.ndim != 3 or obs.ndim != 3 or reg.shape[:2] != obs.shape[:2]:
-            raise ValueError(
-                f"need regressors (N, S, K) and observations (N, S, C), "
-                f"got {reg.shape} and {obs.shape}"
-            )
-        if reg.shape[1] < 1:
-            raise ValueError("slice set is empty")
-        if reg.shape[2] != obs.shape[2] * self.order + 1:
-            raise ValueError(
-                f"regressor width {reg.shape[2]} != C*d+1 = {obs.shape[2] * self.order + 1}"
-            )
-        object.__setattr__(self, "regressors", reg)
-        object.__setattr__(self, "observations", obs)
+        seg = _read_only(self.segments)
+        if seg.ndim != 3:
+            raise ValueError(f"need segments (N, C, L), got shape {seg.shape}")
+        if self.order < 1:
+            raise ValueError(f"order d must be >= 1, got {self.order}")
+        if seg.shape[2] <= self.order:
+            raise ValueError(f"slice set is empty: length {seg.shape[2]} <= d = {self.order}")
+        object.__setattr__(self, "segments", seg)
 
     @property
     def n_sequences(self) -> int:
-        return self.regressors.shape[0]
+        return self.segments.shape[0]
 
     @property
     def channel_count(self) -> int:
-        return self.observations.shape[2]
+        return self.segments.shape[1]
 
     @property
     def weight(self) -> float:
         return 1.0 / self.n_sequences
 
     def __len__(self) -> int:
-        return self.regressors.shape[1]
+        return self.segments.shape[2] - self.order
+
+    @property
+    def observations(self) -> np.ndarray:
+        """The raw observations Y (N, S, C), a fresh copy on every access."""
+        return _read_only(_observations(self.segments, self.order))
+
+    @cached_property
+    def regressors(self) -> np.ndarray:
+        """The lag design X (N, S, K), built on first access."""
+        return _read_only(_design(self.segments, self.order))
 
     def __getitem__(self, s: int) -> MeasurementSlice:
+        s = range(len(self))[s]
         return MeasurementSlice(
             regressors=self.regressors[:, s],
-            target=_read_only(self.weight * self.observations[:, s].reshape(-1)),
+            target=_read_only(self.weight * self.segments[:, :, self.order + s].reshape(-1)),
             weight=self.weight,
         )
 
     def __iter__(self):
         return (self[s] for s in range(len(self)))
 
+    def _chunks(self):
+        """Design and observations of consecutive chunks of sequences, in order."""
+        step = max(1, _CHUNK_VALUES // (len(self) * (self.channel_count * self.order + 1)))
+        for lo in range(0, self.n_sequences, step):
+            part = self.segments[lo : lo + step]
+            yield slice(lo, lo + step), _design(part, self.order), _observations(part, self.order)
+
     @cached_property
     def normal_equations(self) -> NormalEquations:
         """G_i, H_i and sum ||Y_i||^2, computed on first access."""
-        design, targets = self.regressors, self.observations
+        k = self.channel_count * self.order + 1
+        gram = np.empty((self.n_sequences, k, k))
+        xty = np.empty((self.n_sequences, self.channel_count, k))
+        for part, design, targets in self._chunks():
+            gram[part] = design.transpose(0, 2, 1) @ design
+            xty[part] = targets.transpose(0, 2, 1) @ design
+        squares = _observations(self.segments, self.order)  # one sum: chunk sums round apart
         return NormalEquations(
-            gram=_read_only(design.transpose(0, 2, 1) @ design),
-            xty=_read_only(targets.transpose(0, 2, 1) @ design),
-            yty=float(np.sum(targets * targets)),
+            gram=_read_only(gram), xty=_read_only(xty),
+            yty=float(np.sum(np.square(squares, out=squares))),
         )
 
     @cached_property
@@ -161,9 +187,10 @@ class SliceSet:
     def ols(self) -> np.ndarray:
         """Per-sequence lstsq fit as an (m, N) array, computed on first access."""
         cols = []
-        for design, targets in zip(self.regressors, self.observations):
-            coef, *_ = np.linalg.lstsq(design, targets, rcond=None)  # (K, C)
-            cols.append(coef.T.reshape(-1))
+        for _, designs, targets in self._chunks():
+            for design, target in zip(designs, targets):
+                coef, *_ = np.linalg.lstsq(design, target, rcond=None)  # (K, C)
+                cols.append(coef.T.reshape(-1))
         return _read_only(np.column_stack(cols))
 
 
@@ -203,14 +230,14 @@ def correlations(slices: SliceSet, y: np.ndarray) -> np.ndarray:
 # slice construction
 
 
-def _slice_set(segments: np.ndarray, d: int) -> SliceSet:
-    """Slices t = d+1 .. L of equal-length segments of shape (N, C, L).
+def _design(segments: np.ndarray, d: int) -> np.ndarray:
+    """The lag design (N, S, C*d+1) of slices t = d+1 .. L of segments (N, C, L).
 
     Lag window s holds columns s+d-1 down to s (newest first) and predicts
     column s+d; the channels of one step stay contiguous in the regressor.
     In a time-reversed, channel-minor copy of the segments each lag window
-    is one contiguous run of d*C values, so both blocks are filled by
-    copying runs.
+    is one contiguous run of d*C values, so the design is filled by copying
+    runs.
     """
     n, c, length = segments.shape
     rev = np.ascontiguousarray(segments[:, :, ::-1].transpose(0, 2, 1))  # (N, L, C)
@@ -219,22 +246,20 @@ def _slice_set(segments: np.ndarray, d: int) -> SliceSet:
     regs = np.empty((n, length - d, c * d + 1))
     regs[:, :, 0] = 1.0
     regs[:, :, 1:] = windows[:, :0:-1]
-    obs = np.ascontiguousarray(rev[:, length - d - 1 :: -1])
-    return SliceSet(regs, obs, d)
+    return regs
 
 
-def _check_order(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"order d must be >= 1, got {d}")
+def _observations(segments: np.ndarray, d: int) -> np.ndarray:
+    """The observations (N, S, C) of slices t = d+1 .. L of segments (N, C, L), a copy."""
+    return segments[:, :, d:].transpose(0, 2, 1).copy()
 
 
 def enumerate_slices(collection: SequenceCollection, d: int) -> SliceSet:
     """One slice per t = d+1 .. T_min, targets from the observed values at t."""
-    _check_order(d)
     t_min = collection.min_length
     if t_min < d + 1:
         raise ValueError(f"shortest sequence length {t_min} < d+1 = {d + 1}")
-    return _slice_set(np.stack([seq[:, :t_min] for seq in collection.sequences]), d)
+    return SliceSet(np.stack([seq[:, :t_min] for seq in collection.sequences]), d)
 
 
 def sample_subwindow_slices(
@@ -247,7 +272,6 @@ def sample_subwindow_slices(
     windows are aligned positionally, giving G-d slices. Deterministic given
     the generator state, so a fixed seed reproduces the slice set.
     """
-    _check_order(d)
     if window < d + 1:
         raise ValueError(f"window G={window} must be at least d+1 = {d + 1}")
     lengths = np.array([seq.shape[1] for seq in collection.sequences])
@@ -257,4 +281,4 @@ def sample_subwindow_slices(
     segments = np.stack(
         [seq[:, s : s + window] for seq, s in zip(collection.sequences, starts)]
     )
-    return _slice_set(segments, d)
+    return SliceSet(segments, d)

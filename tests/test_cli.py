@@ -164,7 +164,8 @@ def test_embed_outputs_and_manifest(tmp_path, synth_dir):
     assert manifest["mode"] == "mirror-prox-backtracking"
     assert manifest["lambda"] == "inf"
     metrics = read_json(out / "metrics.json")
-    assert set(metrics) == set(cli._METRIC_KEYS) | {"solves", "environment"}
+    assert set(metrics) == set(cli._METRIC_KEYS) | {"solves", "environment", "peak_rss_mb"}
+    assert metrics["peak_rss_mb"] > 0
     assert metrics["lambda"] is None  # inf is not representable in JSON
     assert metrics["solves"] == {"iteration-cap": 1}
     assert set(metrics["environment"]) == {"python", "numpy", "scipy", "blas", "scipy_blas"}
@@ -195,8 +196,9 @@ def test_embed_reruns_differ_only_in_runtime(tmp_path, synth_dir):
     metrics_a = json.loads(first.pop("metrics.json"))
     metrics_b = json.loads(second.pop("metrics.json"))
     assert first == second
-    assert metrics_a.pop("runtime_seconds") > 0
-    metrics_b.pop("runtime_seconds")
+    for key in ("runtime_seconds", "peak_rss_mb"):  # wall time and the process's memory
+        assert metrics_a.pop(key) > 0
+        metrics_b.pop(key)
     assert metrics_a == metrics_b
     assert sum(metrics_a["solves"].values()) == 5  # inf and the grid's four radii
 
@@ -536,6 +538,19 @@ def test_sweep_rejects_the_settings_it_does_not_read(tmp_path, synth_dir, capsys
     write_json(embed_config(synth_dir, n_points=3, **extra), cfg)
     assert run(["sweep", "--config", cfg, "--out", tmp_path / "out", *argv]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "embed"])
+def test_truth_of_another_shape_exits_2_naming_truth_path(tmp_path, synth_dir, command):
+    # the synth truth holds the 3 lag rows of d = 3; a fit at d = 2 has 2
+    config = embed_config(synth_dir, d=2, mode="admm-ls", truth_path=str(synth_dir / "truth.csv"))
+    if command == "sweep":
+        config.update(n_points=3, iters=None)
+    else:
+        config.update(search="brent", iters=None)
+    rc, err = run_config(tmp_path, command, config)
+    assert rc == 2
+    assert "'truth_path'" in err and "C^2 d = 2" in err and "Traceback" not in err
 
 
 def test_sweep_rejects_bad_bracket(tmp_path, synth_dir):
@@ -1149,8 +1164,25 @@ def test_eval_keys_run_where_read_and_exit_2_where_not(tmp_path, ucr_embedding, 
     labels.write_text("id,label\n" + "".join(f"seq_{i:05d},{i % 2}\n" for i in range(10)))
     values = {"seed": 1, "labels_path": str(labels), "knn_k": 1, "k": 2, "restarts": 3,
               "lambda": 2.0, "split_path": str(ucr_embedding / "split.csv")}
+    # the UCR embeddings carry their labels, so no run reads labels_path
     unread = {"clustering": {"split_path", "knn_k"}, "classification": {"k", "restarts"}}[mode]
-    check_cell(tmp_path, "eval", base, values, unread)
+    check_cell(tmp_path, "eval", base, values, unread | {"labels_path"})
+
+
+def test_eval_reads_labels_path_only_for_unlabelled_embeddings(tmp_path, ucr_embedding, capsys):
+    ids, labels, coords = read_embedding_csv(ucr_embedding / "embeddings.csv")
+    assert labels is not None
+    bare = tmp_path / "bare.csv"
+    rows = zip(ids, coords[0].tolist())
+    bare.write_text("id,dim_1\n" + "".join(f"{i},{x!r}\n" for i, x in rows))
+    labels_csv = tmp_path / "labels.csv"
+    labels_csv.write_text("id,label\n" + "".join(f"{i},{y}\n" for i, y in zip(ids, labels)))
+    for embeddings, rc in ((bare, 0), (ucr_embedding / "embeddings.csv", 2)):
+        config = {"embeddings_path": str(embeddings), "labels_path": str(labels_csv)}
+        got, err = run_config(tmp_path, "eval", config, name=embeddings.stem)
+        assert got == rc, err
+    assert "'labels_path'" in err and "carries labels" in err and "Traceback" not in err
+    assert read_json(tmp_path / "bare" / "metrics.json")["ari"] is not None
 
 
 @pytest.mark.parametrize("classes", [False, True])
@@ -1231,7 +1263,7 @@ def test_manifest_replays_to_byte_identical_outputs(tmp_path, inputs, ucr_embedd
     for path in first.iterdir():
         if path.name in ("metrics.json", "manifest.json"):
             a, b = read_json(path), read_json(replay / path.name)
-            for key in ("runtime_seconds", "out"):
+            for key in ("runtime_seconds", "peak_rss_mb", "out"):
                 a.pop(key, None), b.pop(key, None)
             assert a == b, path.name
         else:

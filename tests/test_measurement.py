@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+import lowrank_ar.measurement as measurement
 from lowrank_ar.measurement import (
     SliceSet,
-    _slice_set,
     correlations,
     enumerate_slices,
     predictions,
@@ -18,9 +18,8 @@ from conftest import make_collection
 
 
 def random_slice_set(rng, n=4, c=2, d=3, s=5):
-    """Random regressors (first column all ones) and observations."""
-    regs = np.concatenate([np.ones((n, s, 1)), rng.standard_normal((n, s, c * d))], axis=2)
-    return SliceSet(regs, rng.standard_normal((n, s, c)), d)
+    """The s slices of random segments (n, c, s + d) at order d."""
+    return SliceSet(rng.standard_normal((n, c, s + d)), d)
 
 
 def random_params(rng, n=4, c=2, d=3):
@@ -95,7 +94,7 @@ def test_slice_builder_matches_a_plain_loop(rng):
     for n, c, length, d in shapes:
         segments = rng.standard_normal((n, c, length))
         regs, obs = slice_set_oracle(segments, d)
-        slices = _slice_set(segments, d)
+        slices = SliceSet(segments, d)
         assert slices.regressors.tobytes() == regs.tobytes()
         assert slices.observations.tobytes() == obs.tobytes()
         assert slices.regressors.shape == regs.shape and slices.observations.shape == obs.shape
@@ -151,6 +150,10 @@ def test_enumerate_slices_matches_a_loop(rng):
 def test_slice_set_is_read_only_and_matches_its_views(rng):
     coll = make_collection(rng, n=3, c=2, t_len=10)
     slices = enumerate_slices(coll, 2)
+    assert slices.segments.shape == (3, 2, 10)
+    assert not slices.segments.flags.writeable
+    assert "regressors" not in vars(slices)  # built on first access, then kept
+    assert slices.regressors is slices.regressors
     assert slices.regressors.shape == (3, 8, 5)
     assert slices.observations.shape == (3, 8, 2)
     assert not slices.regressors.flags.writeable
@@ -165,14 +168,13 @@ def test_slice_set_is_read_only_and_matches_its_views(rng):
 
 
 def test_slice_set_validation(rng):
-    slices = enumerate_slices(make_collection(rng, n=2, c=1, t_len=10), 2)
-    regs, obs = slices.regressors, slices.observations
+    segments = rng.standard_normal((2, 1, 10))
     with pytest.raises(ValueError):
-        SliceSet(regs[:, :, :-1], obs, 2)
+        SliceSet(segments[0], 2)  # not (N, C, L)
     with pytest.raises(ValueError):
-        SliceSet(regs, obs[:, :-1], 2)
+        SliceSet(segments, 0)  # no lag
     with pytest.raises(ValueError):
-        SliceSet(regs[:, :0], obs[:, :0], 2)
+        SliceSet(segments[:, :, :2], 2)  # no slice
 
 
 def test_enumerate_slices_needs_long_enough_sequences(rng):
@@ -258,6 +260,45 @@ def test_cache_is_built_once_read_only_and_matches_a_fresh_factorization(rng):
     xty = np.einsum("nsk,nsc->nck", x, y)
     assert np.max(np.abs(normal.xty - xty)) <= 1e-12 * np.max(np.abs(xty))
     assert normal.yty == pytest.approx(float(np.sum(y * y)), rel=1e-12)
+
+
+def single_pass_caches(slices):
+    """Normal equations and OLS fit from the whole design, in one pass."""
+    design, targets = slices.regressors, slices.observations
+    ols = np.column_stack(
+        [np.linalg.lstsq(x, y, rcond=None)[0].T.reshape(-1) for x, y in zip(design, targets)]
+    )
+    gram = design.transpose(0, 2, 1) @ design
+    xty = targets.transpose(0, 2, 1) @ design
+    return gram, xty, float(np.sum(targets * targets)), ols
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 10])  # below, at, a multiple of, not a multiple of 4
+@pytest.mark.parametrize("c,d", [(1, 1), (3, 1), (1, 4), (3, 2)])
+def test_chunked_caches_equal_a_single_pass_bitwise(rng, monkeypatch, n, c, d):
+    s = 30
+    monkeypatch.setattr(measurement, "_CHUNK_VALUES", 4 * s * (c * d + 1))  # 4 sequences
+    segments = rng.standard_normal((n, c, s + d))
+    chunked = SliceSet(segments, d)
+    normal, ols = chunked.normal_equations, chunked.ols
+    assert "regressors" not in vars(chunked)
+    gram, xty, yty, ols_ref = single_pass_caches(SliceSet(segments, d))
+    assert normal.gram.tobytes() == gram.tobytes()
+    assert normal.xty.tobytes() == xty.tobytes()
+    assert normal.yty == yty  # summed over all (N, S, C) observations at once
+    assert ols.tobytes() == ols_ref.tobytes()
+
+
+def test_chunks_at_the_module_size_cover_every_sequence(rng):
+    segments = rng.standard_normal((23, 2, 3000))  # a design of 2997 x 7 values per sequence
+    slices = SliceSet(segments, 3)
+    parts = [part for part, *_ in slices._chunks()]
+    assert parts == [slice(0, 6), slice(6, 12), slice(12, 18), slice(18, 24)]  # 6 per 1 MB
+    gram, xty, yty, ols = single_pass_caches(SliceSet(segments, 3))
+    assert slices.normal_equations.gram.tobytes() == gram.tobytes()
+    assert slices.normal_equations.xty.tobytes() == xty.tobytes()
+    assert slices.normal_equations.yty == yty
+    assert slices.ols.tobytes() == ols.tobytes()
 
 
 def test_building_a_slice_set_does_not_factor_it(rng, factor_counter):

@@ -252,6 +252,25 @@ def test_second_solve_reuses_the_factorization(factor_counter):
     assert np.array_equal(first.data, second.data)
 
 
+@pytest.mark.parametrize(
+    "mode,link,built",
+    [("admm-ls", "identity", False), ("mirror-prox-backtracking", "identity", False),
+     ("mirror-prox-backtracking", "softmax", True)],
+)
+def test_only_a_nonidentity_fit_builds_the_design(mode, link, built):
+    """Identity-link fits read the normal equations; a softmax field multiplies out X."""
+    gen = np.random.default_rng(5)
+    raw = tuple(gen.uniform(0.1, 1.0, size=(2, 40)) for _ in range(5))
+    coll = SequenceCollection(
+        sequences=tuple(a / a.sum(axis=0) for a in raw), ids=tuple("abcde"),
+        kind="probability-simplex" if link == "softmax" else "real",
+    )
+    ev = EmpiricalField(coll, FieldSpec(link=LinkFunction(link), order=D))
+    solve(ev, SolverConfig(mode=mode, lambda_=0.5, max_iters=20))
+    assert "normal_equations" in vars(ev.slices)
+    assert ("regressors" in vars(ev.slices)) == built
+
+
 def test_splitting_solver_slack_is_exact_ols(problem):
     ev, ols, upper, _ = problem
     for radius in (math.inf, 3.0 * upper):
