@@ -74,7 +74,8 @@ class Setting(NamedTuple):
     """One config key of a command.
 
     parse maps a given value to the value the run uses, or raises a
-    ValueError saying what it expects. reads is a condition on the settings
+    ValueError saying what it expects; a retired key, which no run reads,
+    has none. reads is a condition on the settings
     resolved before this one (the rows above it in its table); None means
     every run reads the key. flag, an (argparse type, help) pair, makes the
     key a command-line flag too.
@@ -230,7 +231,8 @@ _FIT = {
     "mode": Setting("mirror-prox-backtracking", _STRING),
     "iters": Setting(None, _optional(_COUNT), flag=(int, "solver iterations")),
     "kappa0": Setting(1e-6, _POSITIVE, _MIRROR),
-    "stop_tol": Setting(None, _optional(_POSITIVE), _MIRROR),
+    # retired: no run reads it, and null stays accepted so older manifests replay
+    "stop_tol": Setting(None, None, lambda c: False),
     "window_g": Setting(None, _optional(_COUNT), _MIRROR,
                         flag=(int, "stochastic subwindow length")),
     "truth_path": Setting(None, _optional(_STRING)),
@@ -253,11 +255,11 @@ _SWEEP = {
 }
 
 _EVAL = {
-    "seed": _SEED,
     "out": Setting("eval_out", _STRING, flag=_OUT_FLAG),
     "embeddings_path": Setting("embeddings.csv", _STRING),
     "labels_path": Setting(None, _optional(_STRING)),
     "mode": Setting("clustering", _choice("clustering", "classification")),
+    "seed": _SEED._replace(reads=_is("mode", "clustering")),  # seeds k-means only
     "split_path": Setting(None, _STRING, _is("mode", "classification")),
     "knn_k": Setting(None, _optional(_COUNT), _is("mode", "classification")),
     "k": Setting(None, _optional(_COUNT), _is("mode", "clustering")),
@@ -471,7 +473,6 @@ def _radius_path(collection: SequenceCollection, config: dict):
             mode=config["mode"],
             max_iters=config["iters"],
             kappa0=config["kappa0"],
-            stop_tol=config["stop_tol"],
         )
         check_method(solver_config, spec)
     except ValueError as exc:

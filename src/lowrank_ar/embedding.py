@@ -17,6 +17,7 @@ from lowrank_ar import dataio
 from lowrank_ar.model import ParameterMatrix
 
 _TRUNCATION_TOL = 1e-10
+_RANK_THRESHOLD = 1e-2
 
 
 @dataclass(frozen=True)
@@ -38,15 +39,15 @@ class EmbeddingResult:
         return int(self.coordinates.shape[1])
 
 
-def approx_rank(singular_values, threshold: float = 1e-2) -> int:
-    """Count of singular values sigma_i >= threshold * sigma_1.
+def approx_rank(singular_values) -> int:
+    """Count of singular values sigma_i >= _RANK_THRESHOLD * sigma_1.
 
     Empty input or an all-zero spectrum counts as rank 0.
     """
     s = np.asarray(singular_values, dtype=float).ravel()
     if s.size == 0 or s[0] <= 0:
         return 0
-    return int(np.count_nonzero(s >= threshold * s[0]))
+    return int(np.count_nonzero(s >= _RANK_THRESHOLD * s[0]))
 
 
 def approx_rank_of(matrix) -> int:

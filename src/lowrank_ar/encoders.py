@@ -120,10 +120,9 @@ def corpus_frequencies(texts) -> dict:
     return dict(zip(map(chr, present.tolist()), total[present].tolist()))
 
 
-def clean_text(text: str, lowercase: bool = True) -> str:
-    """Drop non-ASCII characters and the uncommon punctuation list."""
-    cleaned = text.encode("ascii", "ignore").decode("ascii").translate(_PUNCTUATION_DELETION)
-    return cleaned.lower() if lowercase else cleaned
+def clean_text(text: str) -> str:
+    """Drop non-ASCII characters and the uncommon punctuation list, and lower-case."""
+    return text.encode("ascii", "ignore").decode("ascii").translate(_PUNCTUATION_DELETION).lower()
 
 
 def build_huffman(freqs: dict, arity: int = HUFFMAN_ARITY) -> HuffmanCode:

@@ -242,20 +242,15 @@ def _stratified_folds(labels, folds: int) -> np.ndarray:
     return fold_of
 
 
-def select_k(
-    train_points,
-    train_labels,
-    grid=KNN_GRID,
-    folds: int = CV_FOLDS,
-) -> int:
-    """Cross-validated neighbor count; accuracy ties go to the smallest k."""
+def select_k(train_points, train_labels) -> int:
+    """Cross-validated neighbor count over KNN_GRID, CV_FOLDS folds; ties go to the smallest k."""
     pts = np.atleast_2d(np.asarray(train_points, dtype=float))
     labels = _as_labels(train_labels)
-    fold_of = _stratified_folds(labels, folds)
+    fold_of = _stratified_folds(labels, CV_FOLDS)
     best_k, best_acc = None, -1.0
-    for k in grid:
+    for k in KNN_GRID:
         accs = []
-        for f in range(folds):
+        for f in range(CV_FOLDS):
             test_mask = fold_of == f
             if not test_mask.any() or test_mask.all():
                 continue

@@ -37,8 +37,11 @@ set) pays for none of them:
 
 normal_equations and ols build the design of one chunk of sequences at a
 time, about _CHUNK_VALUES values, and drop it, so an identity-link fit never
-holds the whole design. A radius search or sweep over one set factors its
-normal equations and fits OLS once, however many radii it solves at.
+holds the whole design; once the design is cached they read it instead,
+as a full-horizon non-identity fit does: its field builds the design before
+its logged loss asks for the normal equations. A radius search or sweep
+over one set factors its normal equations and fits OLS once, however many
+radii it solves at.
 """
 
 from __future__ import annotations
@@ -157,7 +160,13 @@ class SliceSet:
         return (self[s] for s in range(len(self)))
 
     def _chunks(self):
-        """Design and observations of consecutive chunks of sequences, in order."""
+        """Design and observations of consecutive chunks of sequences, in order.
+
+        A design already cached (regressors) is the one chunk.
+        """
+        if "regressors" in self.__dict__:
+            yield slice(None), self.regressors, _observations(self.segments, self.order)
+            return
         step = max(1, _CHUNK_VALUES // (len(self) * (self.channel_count * self.order + 1)))
         for lo in range(0, self.n_sequences, step):
             part = self.segments[lo : lo + step]

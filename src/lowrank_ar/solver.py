@@ -41,7 +41,10 @@ step.
 
 The history's loss column tracks the running aggregate, the field_norm
 column the field at the point where it was last evaluated. Every solve
-records why it ended in SolverState.termination.
+records why it ended in SolverState.termination. A mirror solve runs to its
+iteration cap: mirror-prox's guarantee holds for the averaged iterate it
+returns (Nemirovski 2004), so a norm test on the last candidate certifies
+nothing about the point returned.
 
 SolverConfig.max_iters = None, the default, leaves each method its own
 iteration cap (MIRROR_MAX_ITERS or ADMM_MAX_ITERS); SolverConfig.cap is the
@@ -52,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -78,7 +80,6 @@ class SolverConfig:
     lambda_: float = math.inf
     max_iters: int | None = None
     kappa0: float = 1e-6
-    stop_tol: float | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -87,8 +88,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.kappa0 > 0:
             raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
-        if not (self.stop_tol is None or isinstance(self.stop_tol, Real) and self.stop_tol > 0):
-            raise ValueError(f"stop_tol must be None or positive, got {self.stop_tol!r}")
         if not self.lambda_ > 0:
             raise ValueError(f"lambda_ must be positive, got {self.lambda_}")
 
@@ -114,11 +113,11 @@ class HistoryRecord:
 class SolverState:
     """Iteration count, the per-iteration history and why the solve ended.
 
-    termination is "stop-tol" (field norm under config.stop_tol),
-    "converged" (splitting residuals under tolerance), "slack" (the
-    unconstrained fit already lies in the ball), "diverged" (an
-    identity-link mirror solve whose aggregate has a larger loss than the
-    zero matrix, see solve) or "iteration-cap".
+    termination is "converged" (splitting residuals under tolerance),
+    "slack" (the unconstrained fit already lies in the ball), "diverged"
+    (an identity-link mirror solve whose aggregate has a larger loss than
+    the zero matrix, see solve) or "iteration-cap", where every mirror
+    solve that does not diverge ends.
     """
 
     t: int
@@ -132,51 +131,44 @@ def _finite_or_raise(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _loss_or_nan(loss_fn, data: np.ndarray) -> float:
-    return float(loss_fn(data)) if loss_fn is not None else float("nan")
+def mirror_descent(field_fn, shape, config: SolverConfig, loss_fn):
+    """Plain mirror descent; returns (gamma-weighted average, SolverState).
 
-
-def mirror_descent(field_fn, shape, config: SolverConfig, loss_fn=None):
-    """Plain mirror descent; returns (gamma-weighted average, SolverState)."""
+    loss_fn(data) gives the history's loss of the running average.
+    """
     b = np.zeros(shape)
     weighted = np.zeros_like(b)
     weight_total = 0.0
     history: list[HistoryRecord] = []
-    termination = "iteration-cap"
     for k in range(1, config.cap + 1):
         g = _finite_or_raise(np.asarray(field_fn(b, k)), "field")
         gamma = 1.0 / (config.kappa0 * math.sqrt(k))
         b = _finite_or_raise(prox_nuc(b, gamma * g, config.lambda_), "prox step")
         weight_total += gamma
         weighted += gamma * b
-        field_norm = float(np.linalg.norm(g))
         history.append(
             HistoryRecord(
                 iteration=k,
-                loss=_loss_or_nan(loss_fn, weighted / weight_total),
-                field_norm=field_norm,
+                loss=float(loss_fn(weighted / weight_total)),
+                field_norm=float(np.linalg.norm(g)),
                 kappa=config.kappa0,
                 gamma=gamma,
                 backtracks=0,
             )
         )
-        if config.stop_tol is not None and field_norm < config.stop_tol:
-            termination = "stop-tol"
-            break
-    state = SolverState(t=history[-1].iteration, history=history, termination=termination)
-    return weighted / weight_total, state
+    return weighted / weight_total, SolverState(t=config.cap, history=history)
 
 
-def mirror_prox_backtracking(field_fn, shape, config: SolverConfig, loss_fn=None):
+def mirror_prox_backtracking(field_fn, shape, config: SolverConfig, loss_fn):
     """Extragradient iteration with doubling backtracking on kappa.
 
-    Returns (running average of the candidates, SolverState).
+    Returns (running average of the candidates, SolverState); loss_fn(data)
+    gives the history's loss of the running average.
     """
     r = np.zeros(shape)
     aggregate = np.zeros_like(r)
     kappa = config.kappa0
     history: list[HistoryRecord] = []
-    termination = "iteration-cap"
     for t in range(1, config.cap + 1):
         psi_r = _finite_or_raise(np.asarray(field_fn(r, t)), "field")
         alpha = 2.0 / (t + 1)
@@ -199,22 +191,17 @@ def mirror_prox_backtracking(field_fn, shape, config: SolverConfig, loss_fn=None
             break
         r = _finite_or_raise(prox_nuc(r, gamma * psi_b, config.lambda_), "prox step")
         aggregate = (1.0 - alpha) * aggregate + alpha * b_next
-        field_norm = float(np.linalg.norm(psi_b))
         history.append(
             HistoryRecord(
                 iteration=t,
-                loss=_loss_or_nan(loss_fn, aggregate),
-                field_norm=field_norm,
+                loss=float(loss_fn(aggregate)),
+                field_norm=float(np.linalg.norm(psi_b)),
                 kappa=kappa,
                 gamma=gamma,
                 backtracks=backtracks,
             )
         )
-        if config.stop_tol is not None and field_norm < config.stop_tol:
-            termination = "stop-tol"
-            break
-    state = SolverState(t=history[-1].iteration, history=history, termination=termination)
-    return aggregate, state
+    return aggregate, SolverState(t=config.cap, history=history)
 
 
 def check_method(config: SolverConfig, spec: FieldSpec) -> None:
@@ -246,7 +233,7 @@ def solve(evaluator: EmpiricalField, config: SolverConfig):
         )
     method = mirror_descent if config.mode == "mirror-descent" else mirror_prox_backtracking
     shape = (evaluator.param_rows, evaluator.n_sequences)
-    aggregate, state = method(evaluator.field, shape, config, loss_fn=evaluator.loss)
+    aggregate, state = method(evaluator.field, shape, config, evaluator.loss)
     identity = evaluator.spec.link.variant == "identity"
     if identity and state.history[-1].loss > evaluator.loss(np.zeros(shape)):
         state.termination = "diverged"

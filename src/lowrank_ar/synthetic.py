@@ -84,13 +84,12 @@ def standard_class_specs(
     n_per_class: int = 300,
     t_len: int = 250,
     noise_var: float = 0.02,
-    repeats: int = 2,
 ) -> list[GenClassSpec]:
-    """The procedure table repeated, default ten classes (five rules twice)."""
+    """The procedure table twice: ten classes, five rules each used twice."""
     return [
         GenClassSpec(baseline=b, perturbation=p, d=d, n_per_class=n_per_class,
                      t_len=t_len, noise_var=noise_var)
-        for _ in range(repeats)
+        for _ in range(2)
         for b, p in STANDARD_PROCEDURES
     ]
 
@@ -175,32 +174,6 @@ def _unstable(path: np.ndarray, coeffs: np.ndarray) -> UnstableCoefficientsError
         f"|x_{t + 1}| exceeded {_BLOWUP:g}; coefficient draw is unstable "
         f"(sum of coefficients {coeffs.sum():.3f})"
     )
-
-
-def simulate_ar(
-    coeffs: np.ndarray,
-    t_len: int,
-    d: int,
-    noise_var: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """AR(d) path: x_t ~ N(0,1) for t <= d, then x_t = sum_s b_s x_{t-s} + eps_t.
-
-    Raises UnstableCoefficientsError, naming the first step, when |x_t|
-    exceeds the blow-up guard, which stops unstable coefficient draws from
-    flooding downstream computations with overflow.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (d,):
-        raise ValueError(f"coeffs must have shape ({d},), got {coeffs.shape}")
-    if t_len <= d:
-        raise ValueError("t_len must exceed d")
-    x0 = rng.standard_normal(d)
-    eps = rng.normal(0.0, math.sqrt(noise_var), size=t_len - d)
-    x, stable = _recurse(coeffs[:, None], x0[:, None], eps[:, None])
-    if not stable[0]:
-        raise _unstable(x[:, 0], coeffs)
-    return x[:, 0].copy()
 
 
 def gen_class(

@@ -245,7 +245,7 @@ def test_embed_search_writes_search_csv(tmp_path, synth_dir, monkeypatch):
     assert len(rows) > 2
     for row in rows[1:]:
         assert int(row[2]) >= 0
-        assert row[3] in ("stop-tol", "converged", "slack", "iteration-cap")
+        assert row[3] in ("converged", "slack", "diverged", "iteration-cap")
 
 
 def test_embed_search_csv_leaves_unsolved_radius_empty(tmp_path, synth_dir):
@@ -1049,7 +1049,7 @@ def fit_base(inputs, fmt, mode, command):
 
 def unread_fit_keys(command, fmt, mode):
     """The embed or sweep keys that a run on fmt under mode, with no search, never reads."""
-    unread = set()
+    unread = {"stop_tol"}  # retired: read by no run
     if fmt != "collection":
         unread.add("encoder")
     if fmt != "ucr":  # the base config keeps the collection's encoder at none
@@ -1057,7 +1057,7 @@ def unread_fit_keys(command, fmt, mode):
     if fmt != "text":
         unread.add("cutoff")
     if mode == "admm-ls":
-        unread |= {"kappa0", "stop_tol", "window_g"}
+        unread |= {"kappa0", "window_g"}
     return unread
 
 
@@ -1065,7 +1065,7 @@ def fit_values(inputs, fmt, command):
     """A valid value other than the default for each embed or sweep key but input and out."""
     values = {
         "seed": 1, "encoder": "signal-diff", "normalize": False, "cutoff": 50,
-        "link": "identity", "d": 3, "iters": 3, "kappa0": 1000.0, "stop_tol": 1e-12,
+        "link": "identity", "d": 3, "iters": 3, "kappa0": 1000.0, "stop_tol": 1e-3,
         "window_g": 12, "truth_path": inputs[fmt][1],
     }
     if command == "embed":
@@ -1101,10 +1101,10 @@ def test_fit_keys_run_where_read_and_exit_2_where_not(tmp_path, inputs, command,
                unread_fit_keys(command, fmt, mode))
 
 
-@pytest.mark.parametrize("fmt", ["collection", "ucr", "fasta", "text"])
-def test_input_keys_run_where_read_and_exit_2_where_not(tmp_path, inputs, synth_dir, fmt):
+def input_values(inputs, synth_dir):
+    """A valid value other than the default for each input key."""
     root = Path(inputs["ucr"][0]["train_path"]).parent
-    values = {
+    return {
         "path": str(synth_dir / "dataset.csv"),
         "train_path": str(root / "TRAIN.tsv"),
         "test_path": str(root / "TEST.tsv"),
@@ -1112,6 +1112,11 @@ def test_input_keys_run_where_read_and_exit_2_where_not(tmp_path, inputs, synth_
         "per_line": True,
         "kind": "probability-simplex",
     }
+
+
+@pytest.mark.parametrize("fmt", ["collection", "ucr", "fasta", "text"])
+def test_input_keys_run_where_read_and_exit_2_where_not(tmp_path, inputs, synth_dir, fmt):
+    values = input_values(inputs, synth_dir)
     read = {"collection": {"path", "labels_path", "kind"}, "ucr": {"train_path", "test_path"},
             "fasta": {"path"}, "text": {"path", "per_line"}}[fmt]
     base = fit_base(inputs, fmt, "admm-ls", "embed")
@@ -1129,18 +1134,20 @@ def test_input_keys_run_where_read_and_exit_2_where_not(tmp_path, inputs, synth_
     check_cases(tmp_path, "embed", cases)
 
 
+SEARCH_VALUES = {"objective": "train-metric", "n_points": 3, "tol": 1e-2}
+
+
 def test_search_keys_run_where_read_and_exit_2_where_not(tmp_path, inputs):
     # train-metric scores the fits against the labels
     labels = str(Path(inputs["collection"][0]["path"]).parent / "labels.csv")
     base = {**fit_base(inputs, "collection", "admm-ls", "embed"),
             "input": {**inputs["collection"][0], "labels_path": labels},
             "truth_path": inputs["collection"][1]}
-    values = {"objective": "train-metric", "n_points": 3, "tol": 1e-2}
     read = {"bisect-to-rank1": set(), "grid": {"objective", "n_points"},
             "brent": {"objective", "tol"}}
     check_cases(tmp_path, "embed", [
         (key, {**base, "search": {"strategy": strategy, key: value}}, key in keys)
-        for strategy, keys in read.items() for key, value in values.items()
+        for strategy, keys in read.items() for key, value in SEARCH_VALUES.items()
     ])
 
 
@@ -1155,17 +1162,28 @@ def ucr_embedding(tmp_path_factory, inputs):
     return root / "emb"
 
 
-@pytest.mark.parametrize("mode", ["clustering", "classification"])
-def test_eval_keys_run_where_read_and_exit_2_where_not(tmp_path, ucr_embedding, mode):
+def eval_base(ucr_embedding, mode):
     base = {"embeddings_path": str(ucr_embedding / "embeddings.csv"), "mode": mode}
     if mode == "classification":
         base["split_path"] = str(ucr_embedding / "split.csv")
+    return base
+
+
+def eval_values(tmp_path, ucr_embedding):
+    """A valid value other than the default for each eval key but embeddings_path, mode and out."""
     labels = tmp_path / "labels.csv"
     labels.write_text("id,label\n" + "".join(f"seq_{i:05d},{i % 2}\n" for i in range(10)))
-    values = {"seed": 1, "labels_path": str(labels), "knn_k": 1, "k": 2, "restarts": 3,
-              "lambda": 2.0, "split_path": str(ucr_embedding / "split.csv")}
+    return {"seed": 1, "labels_path": str(labels), "knn_k": 1, "k": 2, "restarts": 3,
+            "lambda": 2.0, "split_path": str(ucr_embedding / "split.csv")}
+
+
+@pytest.mark.parametrize("mode", ["clustering", "classification"])
+def test_eval_keys_run_where_read_and_exit_2_where_not(tmp_path, ucr_embedding, mode):
+    base = eval_base(ucr_embedding, mode)
+    values = eval_values(tmp_path, ucr_embedding)
     # the UCR embeddings carry their labels, so no run reads labels_path
-    unread = {"clustering": {"split_path", "knn_k"}, "classification": {"k", "restarts"}}[mode]
+    unread = {"clustering": {"split_path", "knn_k"},
+              "classification": {"k", "restarts", "seed"}}[mode]
     check_cell(tmp_path, "eval", base, values, unread | {"labels_path"})
 
 
@@ -1185,15 +1203,22 @@ def test_eval_reads_labels_path_only_for_unlabelled_embeddings(tmp_path, ucr_emb
     assert read_json(tmp_path / "bare" / "metrics.json")["ari"] is not None
 
 
-@pytest.mark.parametrize("classes", [False, True])
-def test_synth_keys_run_where_read_and_exit_2_where_not(tmp_path, classes):
+SYNTH_VALUES = {"seed": 1, "n_classes": 2, "d": 3, "t_len": 25, "n_per_class": 3,
+                "noise_var": 0.01, "gamma_decay": 0.8, "perturbation_var": 0.01,
+                "classes": [{"baseline": "exp-decay", "perturbation": "gaussian"}]}
+
+
+def synth_base(classes):
     base = {"d": 2, "t_len": 20, "n_per_class": 2}
     if classes:
         base["classes"] = [{"baseline": "uniform", "perturbation": "gaussian"}]
-    values = {"seed": 1, "n_classes": 2, "d": 3, "t_len": 25, "n_per_class": 3,
-              "noise_var": 0.01, "gamma_decay": 0.8, "perturbation_var": 0.01,
-              "classes": [{"baseline": "exp-decay", "perturbation": "gaussian"}]}
-    check_cell(tmp_path, "synth", base, values, {"n_classes"} if classes else set())
+    return base
+
+
+@pytest.mark.parametrize("classes", [False, True])
+def test_synth_keys_run_where_read_and_exit_2_where_not(tmp_path, classes):
+    base = synth_base(classes)
+    check_cell(tmp_path, "synth", base, SYNTH_VALUES, {"n_classes"} if classes else set())
 
 
 @pytest.mark.parametrize(
@@ -1268,3 +1293,132 @@ def test_manifest_replays_to_byte_identical_outputs(tmp_path, inputs, ucr_embedd
             assert a == b, path.name
         else:
             assert path.read_bytes() == (replay / path.name).read_bytes(), path.name
+
+
+# an embed and a sweep manifest as written while stop_tol was still read, out and path aside
+OLDER_MANIFESTS = {
+    "embed": {"command": "embed", "cutoff": 1000, "d": 2, "encoder": "none", "iters": 2,
+              "kappa0": 1e-06, "lambda": "inf", "link": "identity",
+              "mode": "mirror-prox-backtracking", "normalize": True, "search": None, "seed": 0,
+              "stop_tol": None, "truth_path": None, "window_g": None},
+    "sweep": {"command": "sweep", "cutoff": 1000, "d": 2, "encoder": "none", "iters": 2,
+              "kappa0": 1e-06, "link": "identity", "lower": None,
+              "mode": "mirror-prox-backtracking", "n_points": 2, "normalize": True, "seed": 0,
+              "stop_tol": None, "truth_path": None, "upper": None, "window_g": None},
+}
+
+
+@pytest.mark.parametrize("command", ["embed", "sweep"])
+def test_an_older_manifest_replays_to_byte_identical_outputs(tmp_path, inputs, command):
+    older = {**OLDER_MANIFESTS[command], "input": inputs["collection"][0],
+             "out": str(tmp_path / "older")}
+    plain = {"input": inputs["collection"][0], "d": 2, "iters": 2}
+    if command == "sweep":
+        plain["n_points"] = 2
+    for name, config in (("older", older), ("plain", plain)):
+        assert run_config(tmp_path, command, config, name=name)[0] == 0
+    assert read_json(tmp_path / "older" / "manifest.json") == older
+    for path in (tmp_path / "plain").iterdir():
+        if path.name not in ("metrics.json", "manifest.json"):
+            assert path.read_bytes() == (tmp_path / "older" / path.name).read_bytes(), path.name
+
+
+# ---------------------------------------------------------------- the read-recording probe
+
+
+class ReadRecording(dict):
+    """A resolved settings table that records the keys a run reads from it."""
+
+    def __init__(self, resolved):
+        super().__init__(resolved)
+        self.reads = set()
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+    def __iter__(self):  # overridden, so ** unpacking reads each key through __getitem__
+        return super().__iter__()
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The tables each run resolves, nested ones first, every one a ReadRecording."""
+    tables = []
+    resolve = cli._resolve
+
+    def recording(table, given, what):
+        config = ReadRecording(resolve(table, given, what))
+        for value in dict.values(config):
+            if isinstance(value, ReadRecording):
+                value.reads.clear()  # the read conditions of its parent's rows are not the run's
+        tables.append(config)
+        return config
+
+    monkeypatch.setattr(cli, "_resolve", recording)
+    return tables
+
+
+def every_key(table, settings):
+    """settings over every key of table at its default, as a manifest gives them."""
+    return {**{key: setting.default for key, setting in table.items()}, **settings}
+
+
+def probe(tmp_path, command, base, values, recorded):
+    """The given keys a run of base does not read, each of which, given its value, exits 2.
+
+    Returns a set of (outer, key): outer is None for a key of the command's
+    table, else the key of the nested table that holds it.
+    """
+    rc, err = run_config(tmp_path, command, base, name="base")
+    assert rc == 0, err
+    top = recorded[-1]
+    unread = {(None, key) for key in base if key not in top.reads}
+    for outer, nested in dict.items(top):
+        if isinstance(nested, ReadRecording):
+            unread |= {(outer, key) for key in base[outer] if key not in nested.reads}
+    wrong = []
+    for outer, key in sorted(unread, key=str):
+        config = ({**base, key: values[key]} if outer is None
+                  else {**base, outer: {**base[outer], key: values[key]}})
+        rc, err = run_config(tmp_path, command, config, name=f"{outer}_{key}")
+        if rc != 2 or f"'{key}'" not in err:
+            wrong.append((outer, key, rc, err.strip()))
+    assert not wrong
+    return unread
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("fmt", ["collection", "ucr", "fasta", "text"])
+@pytest.mark.parametrize("command", ["embed", "sweep"])
+def test_probe_every_fit_key_is_read_or_exits_2(tmp_path, inputs, synth_dir, recorded,
+                                                command, fmt, mode):
+    table = {"embed": cli._EMBED, "sweep": cli._SWEEP}[command]
+    given = fit_base(inputs, fmt, mode, command)
+    base = every_key(table, {**given, "input": every_key(cli._INPUT, given["input"])})
+    values = {**fit_values(inputs, fmt, command), **input_values(inputs, synth_dir)}
+    assert (None, "stop_tol") in probe(tmp_path, command, base, values, recorded)
+
+
+@pytest.mark.parametrize("strategy", cli.SEARCH_STRATEGIES)
+def test_probe_every_search_key_is_read_or_exits_2(tmp_path, inputs, recorded, strategy):
+    base = every_key(cli._EMBED, {**fit_base(inputs, "collection", "admm-ls", "embed"),
+                                  "truth_path": inputs["collection"][1],
+                                  "search": every_key(cli._SEARCH, {"strategy": strategy})})
+    values = {**fit_values(inputs, "collection", "embed"), **SEARCH_VALUES}
+    assert (None, "stop_tol") in probe(tmp_path, "embed", base, values, recorded)
+
+
+@pytest.mark.parametrize("mode", ["clustering", "classification"])
+def test_probe_every_eval_key_is_read_or_exits_2(tmp_path, ucr_embedding, recorded, mode):
+    base = every_key(cli._EVAL, eval_base(ucr_embedding, mode))
+    probe(tmp_path, "eval", base, eval_values(tmp_path, ucr_embedding), recorded)
+
+
+@pytest.mark.parametrize("classes", [False, True])
+def test_probe_every_synth_key_is_read_or_exits_2(tmp_path, recorded, classes):
+    probe(tmp_path, "synth", every_key(cli._SYNTH, synth_base(classes)), SYNTH_VALUES, recorded)

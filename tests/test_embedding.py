@@ -91,10 +91,10 @@ def test_factorize_truncation(rng):
 
 
 def test_approx_rank_modes():
-    s = np.array([10.0, 5.0, 0.05, 0.0])
-    assert approx_rank(s, threshold=1e-2) == 2
-    assert approx_rank(s, threshold=0.5) == 2
-    assert approx_rank(s, threshold=1e-3) == 3
+    # counted down to 1e-2 of the largest singular value, that one included
+    assert approx_rank(np.array([10.0, 5.0, 0.05, 0.0])) == 2
+    assert approx_rank(np.array([10.0, 0.1])) == 2
+    assert approx_rank(np.array([10.0, 0.0999])) == 1
 
 
 def test_approx_rank_edge_cases():

@@ -58,9 +58,8 @@ def code_expected_length(code):
 # Per-character loops, kept as the specification the vectorised encoders must match.
 
 
-def clean_text_oracle(text, lowercase=True):
-    cleaned = "".join(ch for ch in text if ord(ch) < 128 and ch not in UNCOMMON_PUNCTUATION)
-    return cleaned.lower() if lowercase else cleaned
+def clean_text_oracle(text):
+    return "".join(ch for ch in text if ord(ch) < 128 and ch not in UNCOMMON_PUNCTUATION).lower()
 
 
 def corpus_frequencies_oracle(texts):
@@ -204,14 +203,14 @@ def test_corpus_frequencies():
 
 def test_clean_text():
     assert clean_text("Héllo <W>orld!") == "hllo world"
-    assert clean_text("AbC", lowercase=False) == "AbC"
+    assert clean_text("AbC") == "abc"
     assert clean_text('a"b#c') == "abc"
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=st.text(ANY_CHAR, max_size=60), lowercase=st.booleans())
-def test_clean_text_matches_oracle(text, lowercase):
-    assert clean_text(text, lowercase) == clean_text_oracle(text, lowercase)
+@given(text=st.text(ANY_CHAR, max_size=60))
+def test_clean_text_matches_oracle(text):
+    assert clean_text(text) == clean_text_oracle(text)
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import lowrank_ar.field as field_module
+import lowrank_ar.measurement as measurement_module
 import lowrank_ar.solver as solver_module
 from lowrank_ar.dataio import write_history_csv
 from lowrank_ar.field import EmpiricalField, FieldSpec, gram_loss, ls_loss
+from lowrank_ar.measurement import SliceSet
 from lowrank_ar.model import LinkFunction, ParameterMatrix, SequenceCollection
 from lowrank_ar.nuclear import capped_simplex_project, nuclear_norm, project_nuc
 from lowrank_ar.solver import (
@@ -29,6 +31,11 @@ from lowrank_ar.solver import (
 from test_nuclear import project_matrix_oracle
 
 D = 2
+
+
+def no_loss(data):
+    """A history loss that reads nothing, for solves whose loss the test does not check."""
+    return math.nan
 
 
 @pytest.fixture(scope="module")
@@ -133,10 +140,6 @@ def einsum_admm_oracle(slices, order, radius, max_iters=4000):
         {"lambda_": math.nan},
         {"kappa0": math.nan},
         {"lambda_": -math.inf},
-        {"stop_tol": 0.0},
-        {"stop_tol": -1e-3},
-        {"stop_tol": math.nan},
-        {"stop_tol": "x"},
     ],
 )
 def test_config_validation(kwargs):
@@ -271,6 +274,31 @@ def test_only_a_nonidentity_fit_builds_the_design(mode, link, built):
     assert ("regressors" in vars(ev.slices)) == built
 
 
+def test_a_nonidentity_fit_builds_the_design_once(monkeypatch):
+    """The logged loss's normal equations read the design the softmax field cached."""
+    builds = [0]
+    real_design = measurement_module._design
+
+    def counted_design(*args):
+        builds[0] += 1
+        return real_design(*args)
+
+    monkeypatch.setattr(measurement_module, "_design", counted_design)
+    monkeypatch.setattr(measurement_module, "_CHUNK_VALUES", 1)  # one sequence per chunk
+    gen = np.random.default_rng(5)
+    raw = tuple(gen.uniform(0.1, 1.0, size=(2, 40)) for _ in range(5))
+    coll = SequenceCollection(sequences=tuple(a / a.sum(axis=0) for a in raw),
+                              ids=tuple("abcde"), kind="probability-simplex")
+    ev = EmpiricalField(coll, FieldSpec(link=LinkFunction("softmax"), order=D))
+    solve(ev, SolverConfig(lambda_=0.5, max_iters=20))
+    assert builds == [1]
+    cached, fresh = ev.slices.normal_equations, SliceSet(ev.slices.segments, D).normal_equations
+    assert builds == [1 + 5]  # the fresh set builds its design chunk by chunk
+    assert cached.gram.tobytes() == fresh.gram.tobytes()
+    assert cached.xty.tobytes() == fresh.xty.tobytes()
+    assert cached.yty == fresh.yty
+
+
 def test_splitting_solver_slack_is_exact_ols(problem):
     ev, ols, upper, _ = problem
     for radius in (math.inf, 3.0 * upper):
@@ -364,12 +392,12 @@ def test_mirror_prox_draws_once_per_iteration(monkeypatch):
         return ev.field(data, step)
 
     config = SolverConfig(lambda_=2.0, max_iters=6)
-    _, state = mirror_prox_backtracking(counted_field, (ev.param_rows, 4), config)
+    _, state = mirror_prox_backtracking(counted_field, (ev.param_rows, 4), config, no_loss)
     assert state.t == 6 and draws[0] == 6
     # the field at R_t, every candidate and the corrected step share the draw
     assert sum(rec.backtracks for rec in state.history) > 0
     assert field_calls[0] == 6 + 6 + sum(rec.backtracks for rec in state.history)
-    mirror_prox_backtracking(ev.field, (ev.param_rows, 4), config, loss_fn=ev.loss)
+    mirror_prox_backtracking(ev.field, (ev.param_rows, 4), config, ev.loss)
     assert draws[0] == 6 + 6 + 1  # a logged loss adds one fixed set, drawn once
 
 
@@ -379,9 +407,8 @@ def test_stochastic_solve_is_the_same_with_or_without_a_logged_loss(method):
     config = SolverConfig(lambda_=2.0, max_iters=12, kappa0=1.0)
     logged = EmpiricalField(coll, spec)
     quiet = EmpiricalField(coll, spec)
-    agg_logged, state_logged = method(logged.field, (logged.param_rows, 4), config,
-                                      loss_fn=logged.loss)
-    agg_quiet, state_quiet = method(quiet.field, (quiet.param_rows, 4), config)
+    agg_logged, state_logged = method(logged.field, (logged.param_rows, 4), config, logged.loss)
+    agg_quiet, state_quiet = method(quiet.field, (quiet.param_rows, 4), config, no_loss)
     assert np.array_equal(agg_logged, agg_quiet)
     assert [h.field_norm for h in state_logged.history] == [
         h.field_norm for h in state_quiet.history
@@ -439,9 +466,9 @@ def test_nonfinite_field_raises():
 
     config = SolverConfig(lambda_=1.0, max_iters=4)
     with pytest.raises(SolverError):
-        mirror_descent(bad_field, (2, 2), config)
+        mirror_descent(bad_field, (2, 2), config, no_loss)
     with pytest.raises(SolverError):
-        mirror_prox_backtracking(bad_field, (2, 2), config)
+        mirror_prox_backtracking(bad_field, (2, 2), config, no_loss)
 
 
 def test_backtracking_overflow_raises():
@@ -453,7 +480,7 @@ def test_backtracking_overflow_raises():
 
     config = SolverConfig(lambda_=1.0, max_iters=4)
     with pytest.raises(SolverError, match="exceeded 60 doublings"):
-        mirror_prox_backtracking(spiky_field, (2, 2), config)
+        mirror_prox_backtracking(spiky_field, (2, 2), config, no_loss)
     # the field at R_0, then one candidate per kappa from kappa0 to 2^60 kappa0
     assert calls[0] == 62
 
@@ -466,16 +493,6 @@ def test_kappa_never_decreases(problem):
 
 
 # ---------------------------------------------------------------- stopping, history
-
-
-def test_stop_tol_exits_early():
-    zero_field = lambda x, step: np.zeros_like(x)
-    config = SolverConfig(lambda_=1.0, max_iters=50, stop_tol=1e-8)
-    for method in (mirror_descent, mirror_prox_backtracking):
-        aggregate, state = method(zero_field, (2, 3), config)
-        assert aggregate.shape == (2, 3)
-        assert len(state.history) == 1
-        assert state.termination == "stop-tol"
 
 
 def test_history_records_and_csv(problem, tmp_path):
