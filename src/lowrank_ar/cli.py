@@ -75,10 +75,14 @@ class Setting(NamedTuple):
 
     parse maps a given value to the value the run uses, or raises a
     ValueError saying what it expects; a retired key, which no run reads,
-    has none. reads is a condition on the settings
-    resolved before this one (the rows above it in its table); None means
-    every run reads the key. flag, an (argparse type, help) pair, makes the
-    key a command-line flag too.
+    has none. reads is a condition on the settings resolved before this
+    one, so a key sits below every row its condition reads (embed's seed
+    and truth_path below search and lambda); None means every run reads
+    the key. Conditions and parsers see only settings: where whether a key
+    is read, or which values it takes, depends on an input file (eval's
+    labels_path; its k and knn_k, bounded by the point and train counts),
+    the run checks it once the file is read. flag, an (argparse type,
+    help) pair, makes the key a command-line flag too.
     """
 
     default: object
@@ -217,7 +221,6 @@ _MIRROR = _is("mode", "mirror-descent", "mirror-prox-backtracking")
 
 # embed's and sweep's keys; a condition reads only the rows above it
 _FIT = {
-    "seed": _SEED,
     "input": Setting(None, _nested(_INPUT, "input", "path")),
     "encoder": Setting("none", _choice("none", "signal-diff"),
                        lambda c: c["input"]["format"] == "collection"),
@@ -235,23 +238,39 @@ _FIT = {
     "stop_tol": Setting(None, None, lambda c: False),
     "window_g": Setting(None, _optional(_COUNT), _MIRROR,
                         flag=(int, "stochastic subwindow length")),
-    "truth_path": Setting(None, _optional(_STRING)),
 }
 
+
+def _scores(config: dict, objective: str) -> bool:
+    """Whether embed's search, given as search or named by lambda, scores objective."""
+    search = config["search"] or config["lambda"]
+    return (isinstance(search, dict) and search["strategy"] in ("grid", "brent")
+            and search["objective"] == objective)
+
+
+# seed seeds the window draws and the train-metric k-means; truth_path scores reconstruction-error
 _EMBED = {
     **_FIT,
     "out": Setting("embed_out", _STRING, flag=_OUT_FLAG),
     "search": Setting(None, _search),
     "lambda": Setting("inf", _radius_or_search, _is("search", None),
                       flag=(str, "nuclear radius: a number, 'inf' or a search strategy")),
+    "seed": _SEED._replace(reads=lambda c: c["window_g"] is not None or _scores(c, "train-metric")),
+    "truth_path": Setting(None, _optional(_STRING), lambda c: _scores(c, "reconstruction-error")),
 }
 
+# seed seeds the window draws and, on labelled input, the ari column's k-means (a FASTA file
+# without descriptions has no labels, but that depends on the file); truth_path fills
+# the reconstruction_error column
 _SWEEP = {
     **_FIT,
     "out": Setting("sweep_out", _STRING, flag=_OUT_FLAG),
     "n_points": Setting(40, _COUNT),
     "lower": Setting(None, _optional(_POSITIVE)),
     "upper": Setting(None, _optional(_POSITIVE)),
+    "seed": _SEED._replace(reads=lambda c: c["window_g"] is not None or c["input"]["format"]
+                           in ("ucr", "fasta") or c["input"]["labels_path"] is not None),
+    "truth_path": Setting(None, _optional(_STRING)),
 }
 
 _EVAL = {
@@ -512,12 +531,11 @@ def cmd_embed(config: dict) -> None:
     collection, roles = _ingest(config)
     out = _out_dir(config)
     _, problem = _radius_path(collection, config)
-    search, lam = config["search"], config["lambda"]
-    if isinstance(lam, dict):  # lambda named a search strategy
-        search = lam
+    lam = config["lambda"]
+    search = config["search"] or lam  # a dict when given, or when lambda names a strategy
 
     start = time.perf_counter()
-    if search is not None:
+    if isinstance(search, dict):
         try:
             result = lambda_search(problem, **search)
         except ValueError as exc:
@@ -595,9 +613,11 @@ def cmd_eval(config: dict) -> None:
         if not train.any() or not test.any():
             raise ConfigError("split must contain both train and test rows")
         labels_arr = np.asarray(labels)
-        predicted = knn_classify(
-            coords[:, train], labels_arr[train], coords[:, test], k=config["knn_k"]
-        )
+        try:  # a knn_k past the split's train rows
+            predicted = knn_classify(coords[:, train], labels_arr[train], coords[:, test],
+                                     k=config["knn_k"])
+        except ValueError as exc:
+            raise ConfigError(f"'eval' config key 'knn_k': {exc}") from None
         acc, macro = accuracy_and_macro_f1(labels_arr[test], predicted)
         metrics["accuracy"], metrics["macro_f1"] = acc, macro
     else:
@@ -607,7 +627,10 @@ def cmd_eval(config: dict) -> None:
                 raise ConfigError("clustering without labels needs explicit k")
             k = len(set(labels))
         rng = np.random.default_rng(config["seed"])
-        part = kmeans(coords, k, rng, restarts=config["restarts"])
+        try:  # a k past the number of embeddings
+            part = kmeans(coords, k, rng, restarts=config["restarts"])
+        except ValueError as exc:
+            raise ConfigError(f"'eval' config key 'k': {exc}") from None
         dataio.write_labels_csv(ids, part.assignments, out / "assignments.csv")
         if labels is None:
             print("warning: no labels available; wrote assignments only", file=sys.stderr)

@@ -76,7 +76,6 @@ class HuffmanCode:
     """Prefix-free code over symbols {0..arity-1}, one codeword per character."""
 
     codebook: dict
-    frequency_table: dict
     arity: int = HUFFMAN_ARITY
 
     def __post_init__(self) -> None:
@@ -133,8 +132,6 @@ def build_huffman(freqs: dict, arity: int = HUFFMAN_ARITY) -> HuffmanCode:
     subtree), so equal-weight characters earlier in sort order merge first
     and end up with the longer codewords.
     """
-    if not freqs:
-        raise ValueError("frequency table must be nonempty")
     if len(freqs) < 2:
         raise ValueError("need at least 2 characters to build a code")
     if any(w <= 0 for w in freqs.values()):
@@ -170,7 +167,7 @@ def build_huffman(freqs: dict, arity: int = HUFFMAN_ARITY) -> HuffmanCode:
             walk(child, prefix + str(digit))
 
     walk(heap[0], "")
-    return HuffmanCode(codebook=codebook, frequency_table=dict(freqs), arity=arity)
+    return HuffmanCode(codebook=codebook, arity=arity)
 
 
 def _check_codable(text: str, code: HuffmanCode) -> None:

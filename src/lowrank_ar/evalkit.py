@@ -41,19 +41,13 @@ class LabeledPartition:
     """Cluster assignments compacted to consecutive ids 0..k-1."""
 
     assignments: np.ndarray
-    k: int
 
     @classmethod
     def from_raw(cls, raw) -> "LabeledPartition":
         """Relabel arbitrary integer assignments by first appearance."""
-        raw = np.asarray(raw, dtype=int)
-        remap: dict = {}
-        compact = np.empty(raw.shape, dtype=int)
-        for i, label in enumerate(raw.tolist()):
-            if label not in remap:
-                remap[label] = len(remap)
-            compact[i] = remap[label]
-        return cls(assignments=compact, k=len(remap))
+        ids: dict = {}  # each label's id: the number of labels seen before its first appearance
+        compact = [ids.setdefault(label, len(ids)) for label in np.asarray(raw, dtype=int).tolist()]
+        return cls(assignments=np.array(compact, dtype=int))
 
 
 def _as_labels(x) -> np.ndarray:
@@ -294,10 +288,6 @@ def knn_classify(
 
 def reconstruction_error(true_b, est_b) -> float:
     """Relative Frobenius error of an estimated matrix against the truth."""
-    if isinstance(true_b, ParameterMatrix):
-        true_b = true_b.data
-    if isinstance(est_b, ParameterMatrix):
-        est_b = est_b.data
     true_b = np.asarray(true_b, dtype=float)
     est_b = np.asarray(est_b, dtype=float)
     if true_b.shape != est_b.shape:

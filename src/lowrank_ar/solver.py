@@ -111,8 +111,10 @@ class HistoryRecord:
 
 @dataclass
 class SolverState:
-    """Iteration count, the per-iteration history and why the solve ended.
+    """The per-iteration history of a solve and why it ended.
 
+    Every solve appends one record per iteration, so t, the iteration
+    count, is len(history): 0 for a slack solve, which iterates not at all.
     termination is "converged" (splitting residuals under tolerance),
     "slack" (the unconstrained fit already lies in the ball), "diverged"
     (an identity-link mirror solve whose aggregate has a larger loss than
@@ -120,9 +122,12 @@ class SolverState:
     solve that does not diverge ends.
     """
 
-    t: int
     history: list[HistoryRecord]
     termination: str = "iteration-cap"
+
+    @property
+    def t(self) -> int:
+        return len(self.history)
 
 
 def _finite_or_raise(arr: np.ndarray, what: str) -> np.ndarray:
@@ -156,7 +161,7 @@ def mirror_descent(field_fn, shape, config: SolverConfig, loss_fn):
                 backtracks=0,
             )
         )
-    return weighted / weight_total, SolverState(t=config.cap, history=history)
+    return weighted / weight_total, SolverState(history)
 
 
 def mirror_prox_backtracking(field_fn, shape, config: SolverConfig, loss_fn):
@@ -201,7 +206,7 @@ def mirror_prox_backtracking(field_fn, shape, config: SolverConfig, loss_fn):
                 backtracks=backtracks,
             )
         )
-    return aggregate, SolverState(t=config.cap, history=history)
+    return aggregate, SolverState(history)
 
 
 def check_method(config: SolverConfig, spec: FieldSpec) -> None:
@@ -298,7 +303,7 @@ def constrained_least_squares(
     unconstrained = least_squares_unconstrained(slices, c, order)
     if math.isinf(radius) or nuclear_norm(unconstrained.data) <= radius:
         # constraint slack at the unconstrained optimum: nothing to do
-        return unconstrained, SolverState(t=0, history=[], termination="slack")
+        return unconstrained, SolverState([], termination="slack")
 
     evals, evecs = slices.gram_eigen
     # V_i^T, made contiguous: the batched product runs faster on it
@@ -355,4 +360,4 @@ def constrained_least_squares(
             u *= 2.0
             uv *= 2.0
     params = ParameterMatrix(_finite_or_raise(z.T, "splitting iterate"), c, order)
-    return params, SolverState(t=iteration, history=history, termination=termination)
+    return params, SolverState(history, termination)

@@ -300,15 +300,18 @@ def test_embed_exits_3_when_the_fit_collapses_to_zero(tmp_path, capsys):
 
 def test_embed_with_truth_and_stochastic_window(tmp_path, synth_dir):
     # mirror descent steps at 1/(kappa0 sqrt(k)), so it needs a kappa0 on the
-    # data's scale; the step-doubling search of the default mode finds its own
+    # data's scale; the step-doubling search of the default mode finds its own.
+    # The truth scores a search's radii: a fixed radius does not read it
     rc, out = run_embed(
         tmp_path, synth_dir, name="stoch",
         truth_path=str(synth_dir / "truth.csv"), window_g=10, iters=16,
-        mode="mirror-descent", kappa0=1.0, **{"lambda": 4.0},
+        mode="mirror-descent", kappa0=1.0, search={"strategy": "grid", "n_points": 3},
     )
     assert rc == 0
     manifest = read_json(out / "manifest.json")
     assert manifest["window_g"] == 10
+    scores = [float(row[1]) for row in search_rows(out)]
+    assert len(scores) == 3 and all(0.0 < score < 1.0 for score in scores)
 
 
 @pytest.fixture(scope="module")
@@ -1047,9 +1050,44 @@ def fit_base(inputs, fmt, mode, command):
     return config
 
 
-def unread_fit_keys(command, fmt, mode):
-    """The embed or sweep keys that a run on fmt under mode, with no search, never reads."""
+# embed's settings for each search, and which of seed and truth_path it reads without a window;
+# written apart from cli's tables, so that a wrong read condition there shows
+SEARCHES = {
+    "none": ({}, set()),
+    "bisect-to-rank1": ({"search": "bisect-to-rank1"}, set()),
+    "grid/reconstruction-error": ({"search": {"strategy": "grid", "n_points": 3}},
+                                  {"truth_path"}),
+    "grid/train-metric": ({"search": {"strategy": "grid", "objective": "train-metric",
+                                      "n_points": 3}}, {"seed"}),
+    "brent/reconstruction-error": ({"search": "brent"}, {"truth_path"}),
+    "brent/train-metric": ({"search": {"strategy": "brent", "objective": "train-metric"}},
+                           {"seed"}),
+    "lambda=grid": ({"lambda": "grid"}, {"truth_path"}),
+    "lambda=brent": ({"lambda": "brent"}, {"truth_path"}),
+}
+
+# which of seed and truth_path a sweep reads without a window, by its input: the reconstruction
+# error column always, and the ari column's k-means on labelled input, which a FASTA file
+# without descriptions is not, but that depends on the file
+SWEEP_READS = {
+    "collection": {"truth_path"},
+    "labelled collection": {"seed", "truth_path"},
+    "ucr": {"seed", "truth_path"},
+    "fasta": {"seed", "truth_path"},
+    "unlabelled fasta": {"seed", "truth_path"},
+    "text": {"truth_path"},
+}
+
+
+def unread_fit_keys(command, fmt, mode, search="none"):
+    """The embed or sweep keys that a run on fmt under mode, with no window, never reads.
+
+    search is a key of SEARCHES, and a sweep's fmt a key of SWEEP_READS;
+    the base collection input has no labels_path.
+    """
     unread = {"stop_tol"}  # retired: read by no run
+    reads = SEARCHES[search][1] if command == "embed" else SWEEP_READS[fmt]
+    unread |= {"seed", "truth_path"} - reads
     if fmt != "collection":
         unread.add("encoder")
     if fmt != "ucr":  # the base config keeps the collection's encoder at none
@@ -1101,6 +1139,47 @@ def test_fit_keys_run_where_read_and_exit_2_where_not(tmp_path, inputs, command,
                unread_fit_keys(command, fmt, mode))
 
 
+@pytest.mark.parametrize("window", [None, 12], ids=["no-window", "window"])
+@pytest.mark.parametrize("search", list(SEARCHES))
+def test_embed_reads_seed_and_truth_path_where_its_search_uses_them(tmp_path, inputs, synth_dir,
+                                                                    search, window):
+    # only the mirror modes draw windows, and a window draw reads the seed whatever the search
+    mode = "admm-ls" if window is None else "mirror-prox-backtracking"
+    base = {**fit_base(inputs, "collection", mode, "embed"), **SEARCHES[search][0],
+            "input": {**inputs["collection"][0], "labels_path": str(synth_dir / "labels.csv")}}
+    values = {"seed": 1, "truth_path": inputs["collection"][1]}
+    unread = unread_fit_keys("embed", "collection", mode, search) & set(values)
+    if window is not None:
+        base["window_g"] = window
+        unread.discard("seed")
+    if "truth_path" not in unread:  # a search scored against the truth cannot run without it
+        base["truth_path"] = values["truth_path"]
+    check_cell(tmp_path, "embed", base, values, unread)
+
+
+@pytest.mark.parametrize("window", [None, 12], ids=["no-window", "window"])
+@pytest.mark.parametrize("source", list(SWEEP_READS))
+def test_sweep_reads_seed_on_labelled_input_or_with_a_window(tmp_path, inputs, synth_dir, source,
+                                                             window):
+    fmt = {"labelled collection": "collection", "unlabelled fasta": "fasta"}.get(source, source)
+    base = fit_base(inputs, fmt, "mirror-prox-backtracking", "sweep")
+    if source == "labelled collection":
+        base["input"] = {**base["input"], "labels_path": str(synth_dir / "labels.csv")}
+    elif source == "unlabelled fasta":  # the same records without their descriptions
+        bare = re.sub(r"(>r\d+) fam\d", r"\1", Path(base["input"]["path"]).read_text())
+        (tmp_path / "bare.fa").write_text(bare)
+        base["input"] = {**base["input"], "path": str(tmp_path / "bare.fa")}
+    values = {"seed": 1, "truth_path": inputs[fmt][1]}
+    unread = unread_fit_keys("sweep", source, "mirror-prox-backtracking") & set(values)
+    if window is not None:
+        base["window_g"] = window
+        unread.discard("seed")
+    check_cell(tmp_path, "sweep", base, values, unread)
+    if source == "unlabelled fasta":  # accepted, though no ari is computed for it to seed
+        _, rows = read_csv(tmp_path / "0_seed" / "sweep.csv")
+        assert rows and all(row[4] == "" for row in rows)
+
+
 def input_values(inputs, synth_dir):
     """A valid value other than the default for each input key."""
     root = Path(inputs["ucr"][0]["train_path"]).parent
@@ -1141,14 +1220,17 @@ def test_search_keys_run_where_read_and_exit_2_where_not(tmp_path, inputs):
     # train-metric scores the fits against the labels
     labels = str(Path(inputs["collection"][0]["path"]).parent / "labels.csv")
     base = {**fit_base(inputs, "collection", "admm-ls", "embed"),
-            "input": {**inputs["collection"][0], "labels_path": labels},
-            "truth_path": inputs["collection"][1]}
+            "input": {**inputs["collection"][0], "labels_path": labels}}
     read = {"bisect-to-rank1": set(), "grid": {"objective", "n_points"},
             "brent": {"objective", "tol"}}
-    check_cases(tmp_path, "embed", [
-        (key, {**base, "search": {"strategy": strategy, key: value}}, key in keys)
-        for strategy, keys in read.items() for key, value in SEARCH_VALUES.items()
-    ])
+    cases = []
+    for strategy, keys in read.items():
+        for key, value in SEARCH_VALUES.items():
+            config = {**base, "search": {"strategy": strategy, key: value}}
+            if strategy != "bisect-to-rank1" and key != "objective":  # scored against the truth
+                config["truth_path"] = inputs["collection"][1]
+            cases.append((key, config, key in keys))
+    check_cases(tmp_path, "embed", cases)
 
 
 @pytest.fixture(scope="module")
@@ -1230,7 +1312,7 @@ def test_synth_keys_run_where_read_and_exit_2_where_not(tmp_path, classes):
         ("synth", {"n_per_class": 2.5}, "n_per_class"),
         ("embed", {"input": {"path": 5}}, "path"),
         ("embed", {"input": {"path": ["dataset.csv"]}}, "path"),
-        ("embed", {"truth_path": 5}, "truth_path"),
+        ("embed", {"search": "brent", "truth_path": 5}, "truth_path"),
         ("embed", {"d": 2.5}, "d"),
         ("synth", {"d": 2.5}, "d"),
         ("embed", {"window_g": 10.7}, "window_g"),
@@ -1244,14 +1326,18 @@ def test_synth_keys_run_where_read_and_exit_2_where_not(tmp_path, classes):
         ("embed", {"search": "brent", "lambda": 2.0}, "lambda"),
         ("eval", {"knn_k": 1}, "knn_k"),
         ("eval", {"split_path": "split.csv"}, "split_path"),
+        # past the 6 train rows and the 10 points of the UCR embedding: checked once it is read
+        ("eval", {"mode": "classification", "knn_k": 50}, "knn_k"),
+        ("eval", {"k": 50}, "k"),
     ],
 )
-def test_mistyped_or_unread_settings_exit_2_naming_the_key(tmp_path, synth_dir, command,
-                                                            settings, key):
-    # each exits while its config resolves, before any file is read
+def test_mistyped_or_unread_settings_exit_2_naming_the_key(tmp_path, synth_dir, ucr_embedding,
+                                                            command, settings, key):
+    # all but the eval counts exit while the config resolves, before any file is read
     base = {"synth": {"d": 2, "t_len": 20, "n_per_class": 2},
-            "eval": {"embeddings_path": "embeddings.csv"}}.get(command, embed_config(synth_dir))
-    rc, err = run_config(tmp_path, command, {**base, **settings})
+            "eval": eval_base(ucr_embedding, settings.get("mode", "clustering"))}
+    rc, err = run_config(tmp_path, command, {**base.get(command, embed_config(synth_dir)),
+                                             **settings})
     assert rc == 2
     assert f"'{key}'" in err and "Traceback" not in err
 
@@ -1295,7 +1381,8 @@ def test_manifest_replays_to_byte_identical_outputs(tmp_path, inputs, ucr_embedd
             assert path.read_bytes() == (replay / path.name).read_bytes(), path.name
 
 
-# an embed and a sweep manifest as written while stop_tol was still read, out and path aside
+# an embed and a sweep manifest as written while stop_tol was still read, out and path aside;
+# so were they written while every fit read seed and truth_path
 OLDER_MANIFESTS = {
     "embed": {"command": "embed", "cutoff": 1000, "d": 2, "encoder": "none", "iters": 2,
               "kappa0": 1e-06, "lambda": "inf", "link": "identity",
@@ -1321,6 +1408,15 @@ def test_an_older_manifest_replays_to_byte_identical_outputs(tmp_path, inputs, c
     for path in (tmp_path / "plain").iterdir():
         if path.name not in ("metrics.json", "manifest.json"):
             assert path.read_bytes() == (tmp_path / "older" / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("key", ["seed", "truth_path"])
+def test_an_older_manifest_giving_an_unread_seed_or_truth_exits_2(tmp_path, inputs, key):
+    # a fixed-radius embed without a window reads neither, though it used to accept both
+    value = {"seed": 5, "truth_path": inputs["collection"][1]}[key]
+    older = {**OLDER_MANIFESTS["embed"], "input": inputs["collection"][0], key: value}
+    rc, err = run_config(tmp_path, "embed", older)
+    assert rc == 2 and f"'{key}'" in err and "is not read by this run" in err
 
 
 # ---------------------------------------------------------------- the read-recording probe
@@ -1406,8 +1502,10 @@ def test_probe_every_fit_key_is_read_or_exits_2(tmp_path, inputs, synth_dir, rec
 
 @pytest.mark.parametrize("strategy", cli.SEARCH_STRATEGIES)
 def test_probe_every_search_key_is_read_or_exits_2(tmp_path, inputs, recorded, strategy):
+    # the search's default objective, reconstruction-error, reads the truth under grid and brent
+    truth = None if strategy == "bisect-to-rank1" else inputs["collection"][1]
     base = every_key(cli._EMBED, {**fit_base(inputs, "collection", "admm-ls", "embed"),
-                                  "truth_path": inputs["collection"][1],
+                                  "truth_path": truth,
                                   "search": every_key(cli._SEARCH, {"strategy": strategy})})
     values = {**fit_values(inputs, "collection", "embed"), **SEARCH_VALUES}
     assert (None, "stop_tol") in probe(tmp_path, "embed", base, values, recorded)

@@ -138,7 +138,6 @@ def test_macro_f1_counts_prediction_only_classes():
 def test_labeled_partition_compacts_by_first_appearance():
     part = LabeledPartition.from_raw([5, 5, 2, 7, 2])
     assert np.array_equal(part.assignments, [0, 0, 1, 2, 1])
-    assert part.k == 3
 
 
 # ---------------------------------------------------------------- kmeans
@@ -156,7 +155,6 @@ def separated_blobs(rng, per=8):
 def test_kmeans_recovers_separated_blobs(rng):
     points, labels = separated_blobs(rng)
     part = kmeans(points, 3, np.random.default_rng(0))
-    assert part.k == 3
     assert ari(labels, part.assignments) == pytest.approx(1.0)
 
 
@@ -178,7 +176,6 @@ def test_kmeans_validation(rng):
 def test_kmeans_single_cluster(rng):
     points = rng.standard_normal((2, 6))
     part = kmeans(points, 1, np.random.default_rng(0))
-    assert part.k == 1
     assert np.array_equal(part.assignments, np.zeros(6, dtype=int))
 
 
@@ -236,11 +233,6 @@ def test_reconstruction_error_values():
     est = truth.copy()
     est[0, 0] = 0.0
     assert reconstruction_error(truth, est) == pytest.approx(3.0 / 5.0)
-
-
-def test_reconstruction_error_accepts_parameter_matrices():
-    truth = ParameterMatrix(np.eye(2), channel_count=1, order=1)
-    assert reconstruction_error(truth, truth) == 0.0
 
 
 def test_reconstruction_error_validation():

@@ -423,6 +423,25 @@ def test_solve_admm_dispatch(problem):
     assert nuclear_norm(params.data) <= 0.5 * upper + 1e-9
 
 
+@pytest.mark.parametrize("mode, share, termination, count", [
+    ("mirror-descent", 0.5, "iteration-cap", 20),
+    ("mirror-prox-backtracking", 0.5, "iteration-cap", 20),
+    ("admm-ls", 0.5, "converged", None),
+    ("admm-ls", math.inf, "slack", 0),
+])
+def test_the_iteration_count_is_the_history_length(problem, mode, share, termination, count):
+    ev, _, upper, _ = problem
+    max_iters = None if mode == "admm-ls" else 20
+    _, state = solve(ev, SolverConfig(mode=mode, lambda_=share * upper, max_iters=max_iters,
+                                      kappa0=1.0 if mode == "mirror-descent" else 1e-6))
+    assert state.termination == termination
+    assert state.t == len(state.history)
+    if count is not None:
+        assert state.t == count
+    with pytest.raises(AttributeError):
+        state.t = 1  # derived from the history, so never stored apart from it
+
+
 def test_solve_admm_runs_under_its_own_cap():
     """Without max_iters, admm-ls is not cut at the mirror methods' 256 iterations."""
     gen = np.random.default_rng(2)
