@@ -256,7 +256,11 @@ _EMBED = {
     "lambda": Setting("inf", _radius_or_search, _is("search", None),
                       flag=(str, "nuclear radius: a number, 'inf' or a search strategy")),
     "seed": _SEED._replace(reads=lambda c: c["window_g"] is not None or _scores(c, "train-metric")),
-    "truth_path": Setting(None, _optional(_STRING), lambda c: _scores(c, "reconstruction-error")),
+    # read only where it is required, so a reconstruction-error search without it exits 2 here
+    "truth_path": Setting(None, _check(
+        lambda v: type(v) is str, "the path of the truth matrix a reconstruction-error search "
+        "scores against (objective 'train-metric' scores a search without one)",
+    ), lambda c: _scores(c, "reconstruction-error")),
 }
 
 # seed seeds the window draws and, on labelled input, the ari column's k-means (a FASTA file

@@ -144,9 +144,13 @@ def write_history_csv(history, path) -> None:
 def read_ucr_file(path) -> tuple[list, list]:
     """Archive-style rows: label, v1, ..., vT separated by tabs or commas.
 
-    Returns (labels, series). Trailing NaN padding is trimmed per row; a row
-    with a cell that is not a number, no finite value, or a non-finite value
-    before its last finite one, raises ValueError naming the file and line.
+    Returns (labels, series). Each row is one float conversion of its cells,
+    which parses a cell as float() does, spaces around it included; blank
+    and whitespace-only cells are dropped. The label must be a finite
+    integral number (1, 1.0, -1). Trailing NaN padding is trimmed per row. A
+    row with a cell that is not a number, a label that is not a finite
+    integer, no finite value, or a non-finite value before its last finite
+    one, raises ValueError naming the file and line.
     """
     labels: list = []
     series: list = []
@@ -155,11 +159,17 @@ def read_ucr_file(path) -> tuple[list, list]:
             line = line.strip()
             if not line:
                 continue
-            parts = line.replace("\t", ",").split(",")
-            parts = [p for p in (s.strip() for s in parts) if p]
+            cells = line.replace("\t", ",").split(",")
             try:
-                labels.append(int(float(parts[0])))
-                values = np.array([float(v) for v in parts[1:]])
+                try:
+                    row = np.array(cells, dtype=float)
+                except ValueError:  # a blank cell, or one that is not a number
+                    row = np.array([c for c in cells if c.strip()], dtype=float)
+                if row.size == 0:
+                    raise ValueError("no cells between the separators")
+                if not float(row[0]).is_integer():
+                    raise ValueError(f"label {float(row[0])} is not a finite integer")
+                values = row[1:]
                 finite = np.isfinite(values)
                 if not finite.any():
                     raise ValueError("no finite values")
@@ -167,8 +177,9 @@ def read_ucr_file(path) -> tuple[list, list]:
                     values = values[: int(np.nonzero(finite)[0][-1]) + 1]
                     if not np.isfinite(values).all():
                         raise ValueError("a non-finite value inside the series")
-            except (ValueError, IndexError) as exc:  # IndexError: a row of bare separators
+            except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            labels.append(int(row[0]))
             series.append(values)
     if not labels:
         raise ValueError(f"no data rows in {path}")

@@ -316,41 +316,57 @@ def encode_genomes(genomes, ids, labels=None) -> SequenceCollection:
     )
 
 
-def znormalize(channels) -> np.ndarray:
-    """Each row of a (C, T) array centred to mean 0 and scaled to unit variance.
+def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """znormalize's kernel: the standardized block and its (..., C, 1) mask of flat channels."""
+    centred = x - x.mean(axis=-1, keepdims=True)
+    # x.std(axis=-1) bit for bit, without computing the mean a second time
+    std = np.sqrt(np.mean(centred * centred, axis=-1, keepdims=True))
+    flat = (x == x[..., :1]).all(axis=-1, keepdims=True)
+    return centred / np.where(flat, 1.0, std), flat
 
-    A constant row is centred but left unscaled, with a warning, since
-    dividing by zero spread (or by the rounding left of it) is meaningless.
+
+def znormalize(channels) -> np.ndarray:
+    """Each channel of a (C, T) array, or of a (..., C, T) block, centred and scaled.
+
+    Every reduction runs along the last axis, so each (C, T) sequence of a
+    block comes out bit for bit as it would on its own. A constant channel
+    is centred but left unscaled, with one warning per call, since dividing
+    by zero spread (or by the rounding left of it) is meaningless.
     """
-    x = np.asarray(channels, dtype=float)
-    centred = x - x.mean(axis=1, keepdims=True)
-    # x.std(axis=1) bit for bit, without computing the mean a second time
-    std = np.sqrt(np.mean(centred * centred, axis=1, keepdims=True))
-    flat = (x == x[:, :1]).all(axis=1, keepdims=True)
+    out, flat = _standardize(np.asarray(channels, dtype=float))
     if flat.any():
         warnings.warn("zero-variance channel left unscaled", stacklevel=2)
-        std = np.where(flat, 1.0, std)
-    return centred / std
-
-
-def encode_signal_with_diff(series, normalize: bool = True) -> np.ndarray:
-    """(2, T) channels: the signal and its first difference (first entry 0).
-
-    Each channel is z-normalized by znormalize unless disabled.
-    """
-    x = np.asarray(series, dtype=float).ravel()
-    if x.size < 2:
-        raise ValueError("series must have length at least 2")
-    out = np.stack([x, np.concatenate([[0.0], np.diff(x)])])
-    return znormalize(out) if normalize else out
+    return out
 
 
 def encode_signals(series_list, ids, labels=None, normalize: bool = True) -> SequenceCollection:
-    """Batch signal+difference encoding into a real-valued collection."""
-    seqs = tuple(encode_signal_with_diff(s, normalize=normalize) for s in series_list)
-    return SequenceCollection(
-        sequences=seqs,
-        ids=tuple(ids),
-        labels=tuple(labels) if labels is not None else None,
-        kind="real",
-    )
+    """Real-valued collection of (2, T) sequences: each signal and its first difference.
+
+    The difference channel starts at 0. Series of equal length are encoded
+    as one (n, 2, T) block, one block per length, and each channel is
+    z-normalized (znormalize's kernel) unless disabled. A constant channel
+    is left centred but unscaled, with one warning per call that counts the
+    series holding one. A series shorter than 2 raises ValueError.
+    """
+    arrays = [np.asarray(s, dtype=float).ravel() for s in series_list]
+    lengths = [x.size for x in arrays]
+    if min(lengths, default=2) < 2:
+        raise ValueError("series must have length at least 2")
+    seqs = [None] * len(arrays)
+    flat_series = 0
+    for length in sorted(set(lengths)):
+        members = [i for i, size in enumerate(lengths) if size == length]
+        block = np.zeros((len(members), 2, length))
+        block[:, 0] = [arrays[i] for i in members]
+        np.subtract(block[:, 0, 1:], block[:, 0, :-1], out=block[:, 1, 1:])
+        if normalize:
+            block, flat = _standardize(block)
+            flat_series += int(flat.any(axis=(1, 2)).sum())
+        for i, seq in zip(members, block):
+            seqs[i] = seq
+    if flat_series:
+        warnings.warn(
+            f"zero-variance channel left unscaled in {flat_series} of {len(seqs)} series",
+            stacklevel=2,
+        )
+    return SequenceCollection(sequences=seqs, ids=ids, labels=labels, kind="real")

@@ -506,7 +506,11 @@ def test_zero_unconstrained_fit_exits_3(tmp_path, capsys, command):
     zeros = [np.zeros((1, 30)) for _ in range(4)]
     collection = SequenceCollection(sequences=zeros, ids=[f"z{i}" for i in range(4)])
     write_collection_csv(collection, tmp_path / "data.csv")
-    extra = {"search": "brent"} if command == "embed" else {"n_points": 3}
+    # the search scores reconstruction error, so it is given a truth to score against
+    write_matrix_csv(np.zeros((2, 4)), tmp_path / "truth.csv", column_names=collection.ids)
+    extra = {"n_points": 3}
+    if command == "embed":
+        extra = {"search": "brent", "truth_path": str(tmp_path / "truth.csv")}
     cfg = tmp_path / "cfg.json"
     write_json({"input": str(tmp_path / "data.csv"), "d": 2, "mode": "admm-ls", **extra}, cfg)
     assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 3
@@ -904,6 +908,8 @@ def _bad_input(tmp_path, case):
     bad_rows = {
         "ucr-value-not-a-number": "2\t0.5\tabc\t-1.0\n",
         "ucr-label-not-a-number": "x\t0.5\t0.1\t-1.0\n",
+        "ucr-label-infinite": "inf\t0.5\t0.1\t-1.0\n",
+        "ucr-label-fractional": "1.5\t0.5\t0.1\t-1.0\n",
         "ucr-only-separators": "\t,\t\n",
     }
     if case in bad_rows:
@@ -921,8 +927,8 @@ def _bad_input(tmp_path, case):
     [
         "label-missing", "label-not-an-integer", "t-out-of-order", "value-not-a-number",
         "row-too-short", "ucr-all-nan-row", "ucr-nan-inside-row", "ucr-value-not-a-number",
-        "ucr-label-not-a-number", "ucr-only-separators", "fasta-data-before-header",
-        "fasta-empty-header",
+        "ucr-label-not-a-number", "ucr-label-infinite", "ucr-label-fractional",
+        "ucr-only-separators", "fasta-data-before-header", "fasta-empty-header",
     ],
 )
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
@@ -1329,6 +1335,9 @@ def test_synth_keys_run_where_read_and_exit_2_where_not(tmp_path, classes):
         # past the 6 train rows and the 10 points of the UCR embedding: checked once it is read
         ("eval", {"mode": "classification", "knn_k": 50}, "knn_k"),
         ("eval", {"k": 50}, "k"),
+        # a reconstruction-error search needs the truth it scores against
+        ("embed", {"mode": "admm-ls", "search": "brent"}, "truth_path"),
+        ("embed", {"mode": "admm-ls", "lambda": "grid"}, "truth_path"),
     ],
 )
 def test_mistyped_or_unread_settings_exit_2_naming_the_key(tmp_path, synth_dir, ucr_embedding,
@@ -1340,6 +1349,15 @@ def test_mistyped_or_unread_settings_exit_2_naming_the_key(tmp_path, synth_dir, 
                                              **settings})
     assert rc == 2
     assert f"'{key}'" in err and "Traceback" not in err
+
+
+def test_reconstruction_error_search_without_truth_exits_2_before_ingest(tmp_path):
+    # the input file does not exist: the settings are refused before it is looked for
+    config = {"input": str(tmp_path / "missing.csv"), "d": 3, "search": "brent"}
+    rc, err = run_config(tmp_path, "embed", config)
+    assert rc == 2
+    assert "'truth_path'" in err and "'train-metric'" in err and "not found" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_each_command_has_the_flags_of_its_table(capsys):

@@ -188,6 +188,36 @@ def test_ucr_nan_inside_a_row_raises_naming_the_line(tmp_path):
         read_ucr_file(path)
 
 
+@pytest.mark.parametrize(
+    "text, labels, first",
+    [
+        ("1,,0.5, ,2.0,\n2,3.0,4.0\n", [1, 2], [0.5, 2.0]),
+        (" 2 , 0.5 ,\t-1.25\t , 1e-3\n", [2], [0.5, -1.25, 1e-3]),
+        ("1\t0.5\t0.25\r\n2\t3.0\t4.0\r\n\r\n", [1, 2], [0.5, 0.25]),
+    ],
+    ids=["blank-and-whitespace-cells-dropped", "spaces-around-cells", "crlf-line-ends"],
+)
+def test_ucr_cell_rules(tmp_path, text, labels, first):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    got_labels, series = read_ucr_file(path)
+    assert got_labels == labels
+    assert np.array_equal(series[0], first)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["1\t0.5\tabc", "\t,\t", "inf\t0.5", "-inf\t0.5", "nan\t0.5", "1.5\t0.5", "-0.25\t0.5"],
+    ids=["value-not-a-number", "only-separators", "label-inf", "label-minus-inf", "label-nan",
+         "label-fractional", "label-negative-fractional"],
+)
+def test_ucr_bad_row_names_its_line(tmp_path, row):
+    path = tmp_path / "data.tsv"
+    path.write_text(f"1\t0.5\t0.25\n{row}\n")
+    with pytest.raises(ValueError, match="data.tsv: line 2: "):
+        read_ucr_file(path)
+
+
 def test_ucr_empty_file_raises(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_text("\n\n")

@@ -22,7 +22,6 @@ from lowrank_ar.encoders import (
     encode_corpus,
     encode_genomes,
     encode_nucleotides,
-    encode_signal_with_diff,
     encode_signals,
     encode_symbolic,
     encode_text,
@@ -431,22 +430,82 @@ def test_encode_genomes_collection():
 # ---------------------------------------------------------------- signals
 
 
+def signal_oracle(series, normalize=True):
+    """(2, T) channels of one series, one reduction per channel row, as encode_signals once did."""
+    x = np.asarray(series, dtype=float)
+    out = np.stack([x, np.concatenate([[0.0], np.diff(x)])])
+    if not normalize:
+        return out
+    centred = out - out.mean(axis=1, keepdims=True)
+    std = np.sqrt(np.mean(centred * centred, axis=1, keepdims=True))
+    flat = (out == out[:, :1]).all(axis=1, keepdims=True)
+    return centred / np.where(flat, 1.0, std)
+
+
+def encode_one(series, normalize=True):
+    return encode_signals([series], ids=["s"], normalize=normalize).sequences[0]
+
+
 def test_signal_with_diff_channels():
-    out = encode_signal_with_diff([1.0, 2.0, 4.0, 7.0], normalize=False)
+    out = encode_one([1.0, 2.0, 4.0, 7.0], normalize=False)
     assert np.array_equal(out[0], [1.0, 2.0, 4.0, 7.0])
     assert np.array_equal(out[1], [0.0, 1.0, 2.0, 3.0])
 
 
 def test_signal_normalization():
-    out = encode_signal_with_diff([1.0, 2.0, 4.0, 7.0])
+    out = encode_one([1.0, 2.0, 4.0, 7.0])
     assert np.allclose(out.mean(axis=1), 0.0, atol=1e-12)
     assert np.allclose(out.std(axis=1), 1.0, atol=1e-12)
 
 
 def test_signal_zero_variance_warns():
     with pytest.warns(UserWarning, match="zero-variance"):
-        out = encode_signal_with_diff([3.0, 3.0, 3.0])
+        out = encode_one([3.0, 3.0, 3.0])
     assert np.array_equal(out[0], np.zeros(3))
+
+
+def _ragged_from_padded_rows(rng):
+    """Rows of a NaN-padded archive file, trimmed as read_ucr_file trims them."""
+    rows = rng.standard_normal((9, 40)) * rng.uniform(0.1, 50.0, size=(9, 1))
+    for i, keep in enumerate([40, 17, 40, 2, 17, 33, 40, 2, 9]):
+        rows[i, keep:] = np.nan
+    return [row[np.isfinite(row)] for row in rows]
+
+
+@pytest.mark.parametrize("case", ["equal-length", "ragged", "not-normalized", "constant-series"])
+def test_encode_signals_equals_the_per_series_oracle_bit_for_bit(case):
+    rng = np.random.default_rng(30)
+    if case == "ragged":
+        series = _ragged_from_padded_rows(rng)
+    else:
+        series = list(rng.standard_normal((12, 64)) * 7.0 + 3.0)
+    if case == "constant-series":
+        series[4] = np.full(64, 0.1)  # its computed spread is about 1.4e-17, not 0
+    normalize = case != "not-normalized"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        coll = encode_signals(series, ids=[str(i) for i in range(len(series))], normalize=normalize)
+    for got, x in zip(coll.sequences, series):
+        want = signal_oracle(x, normalize=normalize)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_encode_signals_warns_once_per_call_counting_flat_series():
+    series = [np.full(5, 2.0), np.arange(5.0), np.full(3, -1.0), np.arange(3.0) ** 2]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        encode_signals(series, ids=["a", "b", "c", "d"])
+    assert [str(w.message) for w in caught] == [
+        "zero-variance channel left unscaled in 2 of 4 series"
+    ]
+
+
+def test_znormalize_reduces_each_row_of_a_block_as_it_would_alone():
+    block = np.random.default_rng(3).standard_normal((5, 2, 37)) * 11.0
+    out = znormalize(block)
+    for got, seq in zip(out, block):
+        assert got.tobytes() == znormalize(seq).tobytes()
 
 
 def test_znormalize_centres_constant_rows_without_scaling():
@@ -469,8 +528,8 @@ def test_study_znorm_is_the_shared_normalisation():
 
 
 def test_signal_length_check():
-    with pytest.raises(ValueError):
-        encode_signal_with_diff([1.0])
+    with pytest.raises(ValueError, match="length at least 2"):
+        encode_one([1.0])
 
 
 def test_encode_signals_collection():
