@@ -12,7 +12,11 @@ Three encoding families:
 * univariate real signal -> 2 channels (signal, first difference).
 
 Text and genomes go through str and numpy operations that run in C; the
-tests keep per-character loops as their reference.
+tests keep per-character loops as their reference. Every Huffman stream
+comes from one coder: a code's codebook as arrays indexed by each
+character's rank among its sorted code points, reached through one
+str.translate per document, so encode_corpus codes all documents in one
+gather and one-hot encodes the kept ones with one comparison.
 
 Symbolic outputs are probability columns, so downstream models can use the
 softmax link; the collections carry kind="probability-simplex" accordingly.
@@ -23,6 +27,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +40,7 @@ _DROPPED_IDS_SHOWN = 5  # ids named by encode_corpus's warning about dropped doc
 # Stripped by clean_text along with non-ASCII characters.
 UNCOMMON_PUNCTUATION = '<>`=|?&[]*~!#@"'
 
-_PUNCTUATION_DELETION = str.maketrans("", "", UNCOMMON_PUNCTUATION)
+_PUNCTUATION_BYTES = UNCOMMON_PUNCTUATION.encode("ascii")
 
 _NUCLEOTIDE_ORDER = "ACTG"
 
@@ -67,8 +72,21 @@ def _code_points(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
-class SequenceTooShortError(ValueError):
-    """Input produced fewer coded symbols than the configured cutoff."""
+class _Ranks(dict):
+    """Code point -> rank of its character among a codebook's sorted code points; any other
+    code point -> len(self), the one rank no character has."""
+
+    def __missing__(self, point: int) -> int:
+        return len(self)
+
+
+@dataclass(frozen=True)
+class _Codewords:
+    """A codebook as arrays, row k holding the codeword of the character of rank k."""
+
+    ranks: _Ranks
+    widths: np.ndarray  # (K,) codeword lengths
+    digits: np.ndarray  # (K, max_len) int8 codeword digits, -1 past each width
 
 
 @dataclass(frozen=True)
@@ -100,6 +118,16 @@ class HuffmanCode:
     def max_len(self) -> int:
         return max(len(w) for w in self.codebook.values())
 
+    @cached_property
+    def _codewords(self) -> _Codewords:
+        chars = sorted(self.codebook)
+        words = [self.codebook[ch] for ch in chars]
+        widths = np.array([len(w) for w in words])
+        filled = np.arange(widths.max()) < widths[:, np.newaxis]
+        digits = np.full(filled.shape, -1, dtype=np.int8)
+        digits[filled] = np.frombuffer("".join(words).encode("ascii"), dtype=np.int8) - ord("0")
+        return _Codewords(_Ranks(zip(map(ord, chars), range(len(chars)))), widths, digits)
+
 
 def corpus_frequencies(texts) -> dict:
     """Character counts over an iterable of documents, keyed in code-point order.
@@ -121,7 +149,8 @@ def corpus_frequencies(texts) -> dict:
 
 def clean_text(text: str) -> str:
     """Drop non-ASCII characters and the uncommon punctuation list, and lower-case."""
-    return text.encode("ascii", "ignore").decode("ascii").translate(_PUNCTUATION_DELETION).lower()
+    ascii_bytes = text.encode("ascii", "ignore").translate(None, _PUNCTUATION_BYTES)
+    return ascii_bytes.lower().decode("ascii")
 
 
 def build_huffman(freqs: dict, arity: int = HUFFMAN_ARITY) -> HuffmanCode:
@@ -170,25 +199,36 @@ def build_huffman(freqs: dict, arity: int = HUFFMAN_ARITY) -> HuffmanCode:
     return HuffmanCode(codebook=codebook, arity=arity)
 
 
-def _check_codable(text: str, code: HuffmanCode) -> None:
-    """ValueError naming the first character of text, in text order, without a codeword."""
-    if not text:
-        raise ValueError("text must be nonempty")
-    missing = text.translate(dict.fromkeys(map(ord, code.codebook)))
-    if missing:
-        raise ValueError(f"character {missing[0]!r} missing from codebook")
+def _code_heads(texts: list, code: HuffmanCode, cutoff: int | None) -> tuple:
+    """The codewords of each text's first cutoff characters (all of them for None), as one
+    int8 symbol stream, and the (len(texts) + 1,) offsets of each text's symbols in it.
 
-
-def _symbols(text: str, code: HuffmanCode) -> np.ndarray:
-    """Concatenated codewords of text, every character of which has one."""
-    coded = text.translate(str.maketrans(code.codebook))
-    return np.frombuffer(coded.encode("ascii"), dtype=np.int8) - ord("0")
+    Every character of every text, past the cutoff too, must have a codeword: the first
+    text that has one without raises ValueError naming its first such character.
+    """
+    lookup = code._codewords
+    missing = chr(len(lookup.ranks))
+    heads = []
+    for text in texts:
+        ranked = text.translate(lookup.ranks)
+        first = ranked.find(missing)
+        if first >= 0:
+            raise ValueError(f"character {text[first]!r} missing from codebook")
+        heads.append(ranked[:cutoff])
+    ranks = np.frombuffer("".join(heads).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    ranks = ranks.astype(np.intp)  # the index type of the two gathers below
+    ends = np.zeros(ranks.size + 1, dtype=np.int64)
+    np.cumsum(np.take(lookup.widths, ranks), out=ends[1:])
+    offsets = ends[np.cumsum([0] + [len(head) for head in heads])]
+    padded = np.take(lookup.digits, ranks, axis=0).ravel()
+    return padded[padded >= 0], offsets
 
 
 def encode_text(text: str, code: HuffmanCode) -> np.ndarray:
     """Concatenated codewords as an int8 symbol array."""
-    _check_codable(text, code)
-    return _symbols(text, code)
+    if not text:
+        raise ValueError("text must be nonempty")
+    return _code_heads([text], code, None)[0]
 
 
 def decode_symbols(symbols, code: HuffmanCode) -> str:
@@ -210,41 +250,13 @@ def decode_symbols(symbols, code: HuffmanCode) -> str:
 
 
 def one_hot(symbols, arity: int = HUFFMAN_ARITY) -> np.ndarray:
-    """(arity, T) matrix with a single 1 per column."""
+    """(arity, T) boolean matrix with a single True per column, in the row of its symbol."""
     sym = np.asarray(symbols, dtype=int)
     if sym.ndim != 1 or sym.size == 0:
         raise ValueError("symbols must be a nonempty 1-D array")
     if sym.min() < 0 or sym.max() >= arity:
         raise ValueError(f"symbols must lie in [0, {arity})")
-    out = np.zeros((arity, sym.size))
-    out[sym, np.arange(sym.size)] = 1.0
-    return out
-
-
-def encode_symbolic(
-    text: str, code: HuffmanCode, cutoff: int | None = DEFAULT_SYMBOL_CUTOFF
-) -> np.ndarray:
-    """One-hot channel matrix of the Huffman-coded text.
-
-    Empty text, and with a cutoff any stream shorter than cutoff symbols,
-    raises SequenceTooShortError; longer streams are truncated to exactly
-    cutoff columns, so accepted outputs share one length. Every codeword has at
-    least one symbol, so only the first cutoff characters are coded; every
-    character of the text must still have a codeword.
-    """
-    if cutoff is not None and cutoff < 1:
-        raise ValueError("cutoff must be a positive symbol count")
-    if not text:
-        raise SequenceTooShortError("text must be nonempty")
-    _check_codable(text, code)
-    symbols = _symbols(text if cutoff is None else text[:cutoff], code)
-    if cutoff is not None:
-        if symbols.size < cutoff:
-            raise SequenceTooShortError(
-                f"coded length {symbols.size} below cutoff {cutoff}"
-            )
-        symbols = symbols[:cutoff]
-    return one_hot(symbols, code.arity)
+    return sym == np.arange(arity)[:, np.newaxis]
 
 
 def encode_corpus(
@@ -254,32 +266,49 @@ def encode_corpus(
     labels=None,
     cutoff: int | None = DEFAULT_SYMBOL_CUTOFF,
 ) -> SequenceCollection:
-    """Encode documents, dropping empty ones and ones below the cutoff with one warning."""
-    kept_seqs, kept_ids, kept_labels, dropped = [], [], [], []
-    for i, (text, doc_id) in enumerate(zip(texts, ids)):
-        try:
-            seq = encode_symbolic(text, code, cutoff=cutoff)
-        except SequenceTooShortError:
-            dropped.append(doc_id)
-            continue
-        kept_seqs.append(seq)
-        kept_ids.append(doc_id)
-        if labels is not None:
-            kept_labels.append(labels[i])
-    if not kept_seqs:
+    """Simplex collection of the documents' one-hot Huffman symbol channels.
+
+    With a cutoff, each document keeps exactly its first cutoff symbols, so
+    the kept documents share one length; every codeword has at least one
+    symbol, so only the first cutoff characters are coded. Empty documents,
+    and with a cutoff those coding to fewer symbols, are dropped with one
+    warning. Every character of a document must still have a codeword.
+    """
+    texts, ids = list(texts), list(ids)
+    if len(ids) != len(texts):
+        raise ValueError(f"{len(ids)} ids for {len(texts)} texts")
+    if labels is not None and len(labels) != len(texts):
+        raise ValueError(f"{len(labels)} labels for {len(texts)} texts")
+    if cutoff is not None and cutoff < 1:
+        raise ValueError("cutoff must be a positive symbol count")
+    stream, offsets = _code_heads(texts, code, cutoff)
+    least = cutoff or 1
+    counts = np.diff(offsets)
+    kept = np.flatnonzero(counts >= least)
+    if kept.size == 0:
         raise ValueError("no document reached the cutoff length")
-    if dropped:
+    if kept.size < len(texts):
+        dropped = [doc_id for doc_id, n in zip(ids, counts.tolist()) if n < least]
         shown = ", ".join(map(str, dropped[:_DROPPED_IDS_SHOWN]))
         more = ", ..." if len(dropped) > _DROPPED_IDS_SHOWN else ""
         warnings.warn(
-            f"dropped {len(dropped)} document(s) coded to fewer than {cutoff or 1} symbols: "
+            f"dropped {len(dropped)} document(s) coded to fewer than {least} symbols: "
             f"{shown}{more}",
             stacklevel=2,
         )
+    # boolean columns: the collection copies them into float64
+    if cutoff is None:
+        columns = one_hot(stream, code.arity)
+        # a dropped document is empty, so holds none of the stream
+        spans = zip(offsets[kept].tolist(), offsets[kept + 1].tolist())
+        sequences = [columns[:, a:b] for a, b in spans]
+    else:
+        heads = stream[offsets[kept][:, np.newaxis] + np.arange(cutoff)]
+        sequences = list(heads[:, np.newaxis, :] == np.arange(code.arity)[:, np.newaxis])
     return SequenceCollection(
-        sequences=tuple(kept_seqs),
-        ids=tuple(kept_ids),
-        labels=tuple(kept_labels) if labels is not None else None,
+        sequences=sequences,
+        ids=[ids[i] for i in kept.tolist()],
+        labels=[labels[i] for i in kept.tolist()] if labels is not None else None,
         kind="probability-simplex",
     )
 

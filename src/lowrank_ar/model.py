@@ -27,8 +27,12 @@ _COLLECTION_KINDS = ("real", "probability-simplex")
 
 
 def _as_channel_matrix(seq) -> np.ndarray:
-    """Coerce a sequence to a (C, T) float array; 1-D input is treated as C=1."""
-    arr = np.asarray(seq, dtype=float)
+    """Coerce a sequence to a (C, T) boolean, integer or float array; 1-D input is treated
+    as C=1. Other kinds are converted to float here, and the rest cast in the collection's
+    copy, so a one-hot boolean matrix is not copied twice."""
+    arr = np.asarray(seq)
+    if arr.dtype.kind not in "biuf":
+        arr = np.asarray(seq, dtype=float)
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
     if arr.ndim != 2:
@@ -42,6 +46,26 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _locked_copy(arrays: list) -> tuple[np.ndarray, list, list]:
+    """One read-only buffer holding a copy of arrays, each group of one shape as an
+    (n, C, T) block in it; returns the buffer, the blocks and a view per array, in order."""
+    groups: dict = {}
+    for i, arr in enumerate(arrays):
+        groups.setdefault(arr.shape, []).append(i)
+    buffer = np.empty(sum(arr.size for arr in arrays))
+    blocks, views, offset = [], [None] * len(arrays), 0
+    for (c, t), members in groups.items():
+        block = buffer[offset : offset + len(members) * c * t].reshape(len(members), c, t)
+        np.stack([arrays[i] for i in members], out=block)
+        block.flags.writeable = False
+        blocks.append(block)
+        for i, view in zip(members, block):
+            views[i] = view
+        offset += block.size
+    buffer.flags.writeable = False
+    return buffer, blocks, views
+
+
 # --------------------------------------------------------------------------
 # containers
 
@@ -52,7 +76,10 @@ class SequenceCollection:
 
     kind marks whether every time-step column must lie on the probability
     simplex (one-hot or soft symbol encodings) or is unrestricted real data.
-    Sequences may have unequal lengths.
+    Sequences may have unequal lengths. They are copied into one read-only
+    buffer, sequences of one shape as one (n, C, T) block, and held as
+    read-only views into it. The finiteness and sign checks run once over the
+    buffer, the simplex column sums once per block.
     """
 
     sequences: list
@@ -63,20 +90,23 @@ class SequenceCollection:
     def __post_init__(self):
         if not self.sequences:
             raise ValueError("collection needs at least one sequence")
-        seqs = [_lock(_as_channel_matrix(s)) for s in self.sequences]
-        channels = {s.shape[0] for s in seqs}
+        arrays = [_as_channel_matrix(s) for s in self.sequences]
+        channels = {a.shape[0] for a in arrays}
         if len(channels) != 1:
             raise ValueError(f"inconsistent channel counts: {sorted(channels)}")
-        for s in seqs:
-            if s.shape[1] < 1:
-                raise ValueError("empty sequence")
-            if not np.all(np.isfinite(s)):
-                raise ValueError("sequences must be finite-valued")
+        if min(a.shape[1] for a in arrays) < 1:
+            raise ValueError("empty sequence")
+        buffer, blocks, seqs = _locked_copy(arrays)
+        # min and max carry any NaN or infinity, without a mask the size of the buffer
+        low, high = buffer.min(), buffer.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError("sequences must be finite-valued")
         ids = [str(i) for i in self.ids]
         if len(ids) != len(seqs):
             raise ValueError(f"{len(ids)} ids for {len(seqs)} sequences")
         if len(set(ids)) != len(ids):
-            raise ValueError("ids must be unique")
+            repeat = next(i for i in ids if ids.count(i) > 1)
+            raise ValueError(f"ids must be unique: {repeat!r} repeats")
         if self.labels is not None:
             labels = [int(l) for l in self.labels]
             if len(labels) != len(seqs):
@@ -85,11 +115,11 @@ class SequenceCollection:
         if self.kind not in _COLLECTION_KINDS:
             raise ValueError(f"kind must be one of {_COLLECTION_KINDS}, got {self.kind!r}")
         if self.kind == "probability-simplex":
-            for s in seqs:
-                if np.any(s < -1e-9):
-                    raise ValueError("simplex sequences must be nonnegative")
-                sums = s.sum(axis=0)
-                if np.any(np.abs(sums - 1.0) > 1e-9):
+            if low < -1e-9:
+                raise ValueError("simplex sequences must be nonnegative")
+            for block in blocks:
+                sums = block.sum(axis=1)
+                if sums.max() - 1.0 > 1e-9 or 1.0 - sums.min() > 1e-9:
                     raise ValueError("simplex columns must sum to 1 within 1e-9")
         object.__setattr__(self, "sequences", seqs)
         object.__setattr__(self, "ids", ids)

@@ -14,7 +14,6 @@ from lowrank_ar.encoders import (
     HUFFMAN_ARITY,
     UNCOMMON_PUNCTUATION,
     HuffmanCode,
-    SequenceTooShortError,
     build_huffman,
     clean_text,
     corpus_frequencies,
@@ -23,7 +22,6 @@ from lowrank_ar.encoders import (
     encode_genomes,
     encode_nucleotides,
     encode_signals,
-    encode_symbolic,
     encode_text,
     one_hot,
     znormalize,
@@ -78,14 +76,43 @@ def encode_text_oracle(text, code):
 
 
 def encode_symbolic_oracle(text, code, cutoff):
+    """One document's one-hot channels, or None where encode_corpus drops it."""
     if not text:
-        raise SequenceTooShortError("text must be nonempty")
+        return None
     symbols = encode_text_oracle(text, code)
     if cutoff is not None:
         if symbols.size < cutoff:
-            raise SequenceTooShortError(f"coded length {symbols.size} below cutoff {cutoff}")
+            return None
         symbols = symbols[:cutoff]
-    return one_hot(symbols, code.arity)
+    out = np.zeros((code.arity, symbols.size))
+    for t, s in enumerate(symbols):
+        out[s, t] = 1.0
+    return out
+
+
+def encode_corpus_oracle(texts, code, cutoff):
+    """(id, dtype, shape, layout, bytes) of each sequence encode_corpus keeps, one document
+    at a time, or the ValueError it raises."""
+    try:
+        kept = [(str(i), encode_symbolic_oracle(text, code, cutoff)) for i, text in enumerate(texts)]
+    except ValueError as exc:
+        return ValueError, str(exc)
+    kept = [(i, seq) for i, seq in kept if seq is not None]
+    if not kept:
+        return ValueError, "no document reached the cutoff length"
+    return [(i, seq.dtype, seq.shape, seq.flags.c_contiguous, seq.tobytes()) for i, seq in kept]
+
+
+def corpus_outcome(texts, code, cutoff):
+    """What encode_corpus gives on texts with ids 0, 1, ..., as encode_corpus_oracle does."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            coll = encode_corpus(texts, [str(i) for i in range(len(texts))], code, cutoff=cutoff)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return [(i, seq.dtype, seq.shape, seq.flags.c_contiguous, seq.tobytes())
+            for i, seq in zip(coll.ids, coll.sequences)]
 
 
 IUPAC_ORACLE = {
@@ -258,18 +285,35 @@ def test_encode_text_and_symbolic_match_oracles(corpus, data):
     text = data.draw(st.text(st.one_of(known, known, known, ANY_CHAR), max_size=60))
     cutoff = data.draw(st.one_of(st.none(), st.integers(min_value=1, max_value=80)))
     assert outcome(encode_text, text, code) == outcome(encode_text_oracle, text, code)
-    assert outcome(encode_symbolic, text, code, cutoff) == outcome(
-        encode_symbolic_oracle, text, code, cutoff
+    # empty documents, documents below the cutoff, and characters missing anywhere
+    texts = [text] + data.draw(
+        st.lists(st.text(st.one_of(known, known, known, ANY_CHAR), max_size=60), max_size=3)
     )
+    assert corpus_outcome(texts, code, cutoff) == encode_corpus_oracle(texts, code, cutoff)
+
+
+def test_encode_corpus_codes_characters_above_the_bmp():
+    code = build_huffman({"a": 3, "\U0001f600": 2, "b": 1, "\U0010ffff": 1, "\ud800": 1})
+    texts = ["a\U0001f600b\ud800" * 20, "\U0010ffff" * 30, "b\U0001f600"]
+    assert max(map(ord, code.codebook)) > 0xFFFF
+    for cutoff in (None, 1, 7, 40):
+        assert corpus_outcome(texts, code, cutoff) == encode_corpus_oracle(texts, code, cutoff)
+    for text in texts:
+        assert outcome(encode_text, text, code) == outcome(encode_text_oracle, text, code)
+    missing = texts + ["ab\U0001f601"]
+    assert corpus_outcome(missing, code, 1) == (ValueError, "character '\U0001f601' missing from codebook")
+    assert corpus_outcome(missing, code, 1) == encode_corpus_oracle(missing, code, 1)
 
 
 def test_encode_symbolic_checks_characters_past_the_cutoff():
     code = build_huffman({"a": 1, "b": 1}, arity=2)
-    for fn in (encode_symbolic, encode_symbolic_oracle):
-        with pytest.raises(ValueError, match="'c' missing"):
-            fn("ab" * 10 + "c", code, 5)
-        with pytest.raises(ValueError, match="'d' missing"):
-            fn("ab" * 10 + "dcd", code, 5)
+    for text, shown in (("ab" * 10 + "c", "'c' missing"), ("ab" * 10 + "dcd", "'d' missing")):
+        with pytest.raises(ValueError, match=shown):
+            encode_corpus([text], ["t"], code, cutoff=5)
+        assert encode_corpus_oracle([text], code, 5) == (ValueError, f"character {shown} from codebook")
+    # the first document holding a missing character raises, whatever documents come before
+    with pytest.raises(ValueError, match="'c' missing"):
+        encode_corpus(["", "a", "ab" * 10, "abc"], ["e", "s", "x", "y"], code, cutoff=5)
 
 
 def test_decode_scans_the_codebook_once(monkeypatch):
@@ -327,16 +371,16 @@ def test_one_hot_validation():
 
 def test_encode_symbolic_cutoff():
     code = build_huffman({"a": 1, "b": 1}, arity=2)
-    seq = encode_symbolic("ab" * 30, code, cutoff=50)
+    (seq,) = encode_corpus(["ab" * 30], ["t"], code, cutoff=50).sequences
     assert seq.shape == (2, 50)
     assert np.array_equal(seq.sum(axis=0), np.ones(50))
-    with pytest.raises(SequenceTooShortError):
-        encode_symbolic("ab", code, cutoff=50)
-    full = encode_symbolic("ab", code, cutoff=None)
+    with pytest.raises(ValueError, match="no document reached the cutoff length"):
+        encode_corpus(["ab"], ["t"], code, cutoff=50)
+    (full,) = encode_corpus(["ab"], ["t"], code, cutoff=None).sequences
     assert full.shape[1] == encode_text("ab", code).size
     for cutoff in (0, -3):
         with pytest.raises(ValueError, match="positive"):
-            encode_symbolic("ab" * 30, code, cutoff=cutoff)
+            encode_corpus(["ab" * 30], ["t"], code, cutoff=cutoff)
 
 
 def test_encode_corpus_drops_short_documents():
@@ -363,12 +407,25 @@ def test_encode_corpus_warning_names_the_first_five_dropped():
 def test_encode_corpus_drops_empty_documents():
     code = build_huffman({"a": 1, "b": 1}, arity=2)
     for cutoff, least in ((10, 10), (None, 1)):
-        with pytest.raises(SequenceTooShortError, match="nonempty"):
-            encode_symbolic("", code, cutoff)
         shown = rf"dropped 1 document\(s\) coded to fewer than {least} symbols: e$"
         with pytest.warns(UserWarning, match=shown):
             coll = encode_corpus(["ab" * 10, ""], ids=["x", "e"], code=code, cutoff=cutoff)
         assert tuple(coll.ids) == ("x",)
+
+
+@pytest.mark.parametrize(
+    "ids, labels, shown",
+    [
+        (["x", "y"], None, "2 ids for 3 texts"),
+        (["x", "y", "z", "w"], None, "4 ids for 3 texts"),
+        (["x", "y", "z"], [0, 1], "2 labels for 3 texts"),
+    ],
+    ids=["ids-short", "ids-long", "labels-short"],
+)
+def test_encode_corpus_rejects_ids_or_labels_of_another_length(ids, labels, shown):
+    code = build_huffman({"a": 1, "b": 1}, arity=2)
+    with pytest.raises(ValueError, match=shown):
+        encode_corpus(["ab" * 10, "ba" * 10, "ab" * 10], ids, code, labels=labels, cutoff=10)
 
 
 def test_encode_corpus_all_short_raises():

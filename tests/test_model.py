@@ -1,5 +1,7 @@
 """Collections, parameter matrices and links."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,8 +43,56 @@ def test_collection_locks_arrays(rng):
 
 def test_collection_rejects_duplicate_ids():
     seqs = (np.zeros((1, 5)), np.zeros((1, 5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ids must be unique: 'a' repeats"):
         SequenceCollection(sequences=seqs, ids=("a", "a"), labels=None, kind="real")
+    with pytest.raises(ValueError, match="'doc' repeats"):
+        SequenceCollection(sequences=seqs * 2, ids=("x", "doc", "y", "doc"), labels=None)
+
+
+SHAPES = {"equal-shape": [(3, 6)] * 4, "ragged": [(3, 5), (3, 8), (3, 5), (3, 1)]}
+
+
+def one_hot_columns(rng, shape):
+    return np.eye(shape[0])[:, rng.integers(0, shape[0], shape[1])]
+
+
+@pytest.mark.parametrize("shapes", SHAPES.values(), ids=SHAPES.keys())
+def test_collection_copies_into_one_read_only_buffer(rng, shapes):
+    given = [rng.standard_normal(shape) for shape in shapes]
+    kept = [g.copy() for g in given]
+    coll = SequenceCollection(sequences=given, ids=range(len(given)), kind="real")
+    for g in given:
+        g[...] = 7.0  # the caller's arrays were copied
+    assert len({id(seq.base) for seq in coll.sequences}) == 1
+    for seq, k in zip(coll.sequences, kept):
+        assert seq.dtype == np.float64 and seq.flags.c_contiguous
+        assert seq.shape == k.shape and np.array_equal(seq, k)
+        assert not seq.flags.writeable
+        with pytest.raises(ValueError):
+            seq[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            seq.flags.writeable = True
+
+
+@pytest.mark.parametrize("shapes", SHAPES.values(), ids=SHAPES.keys())
+def test_collection_checks_every_sequence_in_the_buffer(rng, shapes):
+    for i, bad in itertools.product(range(len(shapes)), (np.nan, np.inf, -np.inf)):
+        given = [rng.standard_normal(shape) for shape in shapes]
+        given[i][-1, -1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SequenceCollection(sequences=given, ids=range(len(given)), kind="real")
+    for i in range(len(shapes)):
+        for off, fails in ((2e-9, True), (5e-10, False), (-2e-9, True), (-5e-10, False)):
+            given = [one_hot_columns(rng, shape) for shape in shapes]
+            given[i][np.argmax(given[i][:, -1]), -1] += off  # the column's 1
+            make = lambda: SequenceCollection(
+                sequences=given, ids=range(len(given)), kind="probability-simplex"
+            )
+            if fails:
+                with pytest.raises(ValueError, match="sum to 1 within 1e-9"):
+                    make()
+            else:
+                make()
 
 
 def test_collection_rejects_nonfinite():
